@@ -118,12 +118,14 @@ sim::Task<std::uint64_t> Engine::arrayShardEnd(int tgt, ContId c,
   co_await t.xstream().exec(cfg_->engine.rpc_cpu + 2 * cfg_->engine.kv_cpu,
                             op);
   std::uint64_t end = 0;
-  for (const auto& dkey : t.store().listDkeys(c, o)) {
-    if (dkey.size() != 8) continue;  // not an array chunk dkey
-    const std::uint64_t chunk = vos::dkeyU64(dkey);
-    const std::uint64_t in_chunk = t.store().extentEnd(c, o, dkey, "0");
-    if (in_chunk > 0) end = std::max(end, chunk * chunk_size + in_chunk);
-  }
+  t.store().forEachRecord(c, o, [&](const vos::TargetStore::RecordView& v) {
+    // Array chunks are 8-byte dkeys holding an extent tree at akey "0".
+    if (v.dkey->size() != 8 || *v.akey != "0" || v.tree == nullptr) return;
+    const std::uint64_t in_chunk = v.tree->end();
+    if (in_chunk > 0) {
+      end = std::max(end, vos::dkeyU64(*v.dkey) * chunk_size + in_chunk);
+    }
+  });
   co_return end;
 }
 

@@ -5,14 +5,19 @@
 // data model mirrors VOS: container -> object -> dkey -> akey -> value,
 // where a value is either a single atomic payload (KV records) or an extent
 // tree (array records).
+//
+// The index is flat so that a record lookup takes few dependent loads: one
+// open-addressing table per target keyed by (container, object) holds each
+// object's records inline in its slot, and each object keeps one ordered map
+// keyed by (dkey, akey), which iterates in dkey-then-akey order.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -87,20 +92,20 @@ class TargetStore {
   /// Invokes `fn(RecordView)` for every record of the object.
   template <typename Fn>
   void forEachRecord(ContId c, const ObjectId& o, Fn&& fn) const {
-    const ObjectShard* obj = findObject(c, o);
-    if (obj == nullptr) return;
-    for (const auto& [dkey, entry] : obj->dkeys) {
-      for (const auto& [akey, value] : entry.akeys) {
-        RecordView view{&dkey, &akey, std::get_if<Payload>(&value),
-                        std::get_if<ExtentTree>(&value)};
-        fn(view);
-      }
+    const Records* records = findObject(c, o);
+    if (records == nullptr) return;
+    for (const auto& [key, value] : *records) {
+      RecordView view{&key.first, &key.second, std::get_if<Payload>(&value),
+                      std::get_if<ExtentTree>(&value)};
+      fn(view);
     }
   }
 
   // --- accounting -------------------------------------------------------
   std::uint64_t bytesStored() const noexcept { return bytes_stored_; }
-  std::uint64_t objectCount() const noexcept;
+  std::uint64_t objectCount() const noexcept { return objects_; }
+  /// Containers holding an object, or that did since their last
+  /// destroyContainer (punching the last object keeps a container counted).
   std::uint64_t containerCount() const noexcept { return containers_.size(); }
 
   // Cumulative record-op counts (telemetry rate probes: per-target VOS
@@ -116,27 +121,64 @@ class TargetStore {
 
  private:
   using Value = std::variant<Payload, ExtentTree>;
-  struct DkeyEntry {
-    std::map<std::string, Value, std::less<>> akeys;
+  using RecordKey = std::pair<std::string, std::string>;  // (dkey, akey)
+  /// Orders records by dkey, then akey; transparent over string_view pairs
+  /// so lookups build no strings.
+  struct RecordLess {
+    using is_transparent = void;
+    using View = std::pair<std::string_view, std::string_view>;
+    static View view(const RecordKey& k) noexcept {
+      return {k.first, k.second};
+    }
+    static View view(const View& k) noexcept { return k; }
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const noexcept {
+      const View x = view(a);
+      const View y = view(b);
+      const int d = x.first.compare(y.first);
+      return d != 0 ? d < 0 : x.second < y.second;
+    }
   };
-  struct ObjectShard {
-    std::map<std::string, DkeyEntry, std::less<>> dkeys;
-  };
-  struct ContainerShard {
-    std::unordered_map<ObjectId, ObjectShard> objects;
+  using Records = std::map<RecordKey, Value, RecordLess>;
+
+  /// One object table entry. Linear probing over a power-of-two capacity;
+  /// deletion shifts the rest of the probe run back, so no tombstones.
+  struct Slot {
+    ObjectId oid;
+    ContId cont = 0;
+    bool used = false;
+    Records records;
   };
 
   Payload ingest(Payload p) const {
     return (!retain_data_ && p.hasBytes()) ? p.stripBytes() : std::move(p);
   }
 
-  ObjectShard& objectShard(ContId c, const ObjectId& o);
-  const ObjectShard* findObject(ContId c, const ObjectId& o) const;
+  std::size_t home(ContId c, const ObjectId& o) const noexcept;
+  /// Index of the slot holding (c, o), or of the empty slot that ends its
+  /// probe run. Requires a non-empty table.
+  std::size_t probe(ContId c, const ObjectId& o) const noexcept;
+  /// Index of the slot holding (c, o), or slots_.size() if absent.
+  std::size_t find(ContId c, const ObjectId& o) const noexcept;
+  const Records* findObject(ContId c, const ObjectId& o) const;
+  const Value* findValue(ContId c, const ObjectId& o, std::string_view dkey,
+                         std::string_view akey) const;
+  /// The record's value, created (as an empty Payload) with its object and
+  /// container if absent.
+  Value& slot(ContId c, const ObjectId& o, std::string_view dkey,
+              std::string_view akey);
+  /// `v` as an extent tree, replacing any single value it held.
+  ExtentTree& asTree(Value& v);
+  void grow();
+  /// Empties slot `i` and shifts the rest of its probe run back.
+  void eraseSlot(std::size_t i);
 
-  std::uint64_t valueBytes(const Value& v) const;
+  static std::uint64_t valueBytes(const Value& v);
 
   bool retain_data_;
-  std::unordered_map<ContId, ContainerShard> containers_;
+  std::vector<Slot> slots_;         // capacity 0 or a power of two
+  std::uint64_t objects_ = 0;       // used slots
+  std::vector<ContId> containers_;  // a handful per target
   std::uint64_t bytes_stored_ = 0;
   std::uint64_t value_puts_ = 0;
   mutable std::uint64_t value_gets_ = 0;  // bumped in const getters

@@ -276,5 +276,33 @@ TEST_F(TargetStoreTest, ObjectCountAcrossContainers) {
   EXPECT_EQ(store_.objectCount(), 3u);
 }
 
+TEST_F(TargetStoreTest, ContainerStaysCountedUntilDestroyed) {
+  const placement::ObjectId other = makeOid(ObjClass::S1, 101);
+  EXPECT_EQ(store_.valueGet(7, oid_, "k", "v"), nullptr);  // lookups add none
+  EXPECT_EQ(store_.containerCount(), 0u);
+  store_.valuePut(1, oid_, "k", "v", Payload::fromString("a"));
+  store_.extentTruncate(2, other, u64Dkey(0), "0", 10);
+  EXPECT_EQ(store_.containerCount(), 2u);
+  EXPECT_TRUE(store_.punchObject(1, oid_));
+  EXPECT_EQ(store_.objectCount(), 1u);
+  EXPECT_EQ(store_.containerCount(), 2u);  // empty, but not destroyed
+  store_.destroyContainer(1);
+  EXPECT_EQ(store_.containerCount(), 1u);
+  store_.destroyContainer(1);  // absent: no-op
+  store_.destroyContainer(2);
+  EXPECT_EQ(store_.containerCount(), 0u);
+  EXPECT_EQ(store_.objectCount(), 0u);
+  EXPECT_EQ(store_.bytesStored(), 0u);
+}
+
+TEST_F(TargetStoreTest, ValueRemoveKeepsEmptiedObject) {
+  store_.valuePut(cont_, oid_, "k", "v", Payload::fromString("a"));
+  EXPECT_TRUE(store_.valueRemove(cont_, oid_, "k", "v"));
+  EXPECT_TRUE(store_.objectExists(cont_, oid_));
+  EXPECT_TRUE(store_.listDkeys(cont_, oid_).empty());
+  EXPECT_EQ(store_.objectCount(), 1u);
+  EXPECT_EQ(store_.containerCount(), 1u);
+}
+
 }  // namespace
 }  // namespace daosim::vos
