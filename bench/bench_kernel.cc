@@ -1,12 +1,15 @@
 // Kernel microbenchmarks: raw event-loop throughput, independent of any
 // storage model. These are the numbers the pooled frame allocator and the
-// two-level event queue are meant to move (see DESIGN.md "Kernel
+// monotone radix event queue are meant to move (see DESIGN.md "Kernel
 // performance"); before/after results live in BENCH_kernel.json.
 //
 //   events_per_sec  — delay-driven ping-pong through the event queue
+//                     (dense sub-microsecond timers: low-bucket refills)
 //   spawn_per_sec   — spawn/join churn (frame + join-state allocation path)
-//   timer_churn     — wide-range random timers (stresses queue ordering)
-//   handoff_per_sec — semaphore hand-offs at equal timestamps (now-path)
+//   timer_churn     — wide-range random timers (events parked in high
+//                     buckets, redistributed as the clock approaches them)
+//   handoff_per_sec — semaphore hand-offs at equal timestamps (the queue's
+//                     front FIFO)
 #include <benchmark/benchmark.h>
 
 #include <cstdint>

@@ -1,43 +1,32 @@
-// Two-level event queue for the discrete-event kernel.
+// Monotone radix queue for the discrete-event kernel.
 //
 // The kernel's ordering contract is exact: events pop in (time, seq) order,
 // seq being the global push counter, so FIFO-within-timestamp determinism is
-// preserved bit for bit. The old implementation was a single binary heap;
-// this one splits events by temporal distance so the common cases are O(1):
+// preserved bit for bit. The queue exploits the kernel's monotonicity: every
+// push has t >= now >= last, where `last` is the time of the most recently
+// popped event (0 before the first pop). Events are filed by the highest bit
+// in which their time differs from `last`:
 //
-//   * now-FIFO   — events scheduled at exactly the current time (semaphore
-//                  hand-offs, barrier releases, join wake-ups, yields). Seq
-//                  order equals insertion order, so a flat FIFO suffices.
-//   * current window heap — events inside the bucket window that contains
-//                  the present; a small binary heap over (time, seq).
-//   * near ring  — kBuckets FIFO buckets of kWidth ns each covering the near
-//                  future; push is an unordered O(1) append, and a bucket is
-//                  heapified only when the kernel reaches its window.
-//   * far heap   — everything beyond the ring horizon. Sparse or very long
-//                  timers fall back here, giving graceful priority-queue
-//                  behavior when timestamps are too spread for the ring.
+//   * front      — events at exactly `last` (semaphore hand-offs, barrier
+//                  releases, join wake-ups, yields, and timers that have come
+//                  due), popped in FIFO order;
+//   * bucket k   — events whose t ^ last has its highest set bit at k
+//                  (k = 0..63), kept as unordered appends; a 64-bit mask
+//                  marks the non-empty ones.
 //
-// Ordering proof sketch: all stored events satisfy t >= now (the kernel
-// never schedules into the past). Events with t == now live either in the
-// now-FIFO or — when they were pushed before time advanced to t — in the
-// current window heap; pop takes the (t, seq) minimum of those two fronts.
-// Ring buckets cover windows strictly after the current one and the far heap
-// holds only times at or beyond the ring horizon (advance() re-distributes
-// far events whenever the horizon moves), so inter-level order is total.
+// When the front drains, pop takes the lowest non-empty bucket, moves `last`
+// up to that bucket's minimum time and redistributes the bucket in order:
+// its minimum-time events become the new front, the rest fall into strictly
+// lower buckets. Higher buckets never move, because the new `last` agrees
+// with the old one on every bit above the split bucket's.
 //
-// Adaptive single-window bypass: when every stored event lives in the
-// current window heap (now-FIFO drained, ring and far heap empty), the
-// queue behaves exactly like a bare binary heap, and the level checks on
-// push/pop are pure overhead — the dense-timer regression in
-// BENCH_kernel.json (events_per_sec/64). `bypass_` caches that state:
-// while set, push appends straight to the window heap and pop takes its
-// front with no FIFO or advance() checks, re-anchoring the window at each
-// popped timestamp so the fast path tracks the clock indefinitely. The
-// flag drops on the first event that leaves the single-window world (a
-// t == now push, an out-of-window push) and is re-armed on the slow pop
-// path whenever the other levels are observed empty again, so mixed
-// workloads pay one predictable branch and dense-timer workloads get the
-// bare heap back.
+// Ordering proof sketch: a bucket only ever receives (a) pushes, appended in
+// seq order, and (b) stable redistributions of a higher bucket, each of which
+// arrives while the bucket is empty (the split bucket was the lowest
+// non-empty one). By induction every bucket, and the front, is in seq order,
+// and events with equal t always share a bucket (the bucket is a function of
+// t and `last`). So the front is the exact (t, seq) order of the events at
+// `last`, and every other event has t > last. No seq is ever compared.
 #pragma once
 
 #include <algorithm>
@@ -45,8 +34,7 @@
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <queue>
-#include <vector>
+#include <memory>
 
 #include "sim/time.h"
 
@@ -66,186 +54,108 @@ class EventQueue {
 
   /// Pushes an event; `now` is the kernel's current time and `t >= now`,
   /// `seq` strictly increasing across pushes.
-  void push(Time now, Time t, std::uint64_t seq, std::coroutine_handle<> h) {
-    assert(t >= now);
+  void push([[maybe_unused]] Time now, Time t, std::uint64_t seq,
+            std::coroutine_handle<> h) {
+    assert(t >= now && now >= last_);
     ++size_;
-    if (bypass_) {
-      if (t != now && t - win_lo_ < kWidth) [[likely]] {
-        cur_.push_back(Item{t, seq, h});
-        std::push_heap(cur_.begin(), cur_.end(), After{});
-        return;
-      }
-      bypass_ = false;
-    }
-    if (t == now) {
-      assert(fifoEmpty() || fifo_time_ == now);
-      if (fifoEmpty()) {
-        now_fifo_.clear();
-        fifo_head_ = 0;
-      }
-      fifo_time_ = now;
-      now_fifo_.push_back(Item{t, seq, h});
+    if (t == last_) {
+      front_.append(Item{t, seq, h});
       return;
     }
-    place(Item{t, seq, h});
+    const int k = bucketOf(t, last_);
+    buckets_[k].append(Item{t, seq, h});
+    mask_ |= std::uint64_t{1} << k;
   }
 
   /// Pops the (time, seq)-minimum event. Queue must be non-empty.
   Item pop() {
     assert(size_ > 0);
-    if (bypass_) [[likely]] {
-      assert(!cur_.empty());
-      std::pop_heap(cur_.begin(), cur_.end(), After{});
-      const Item e = cur_.back();
-      cur_.pop_back();
-      --size_;
-      // Slide the window with the clock so in-window pushes keep taking the
-      // fast path. Remaining heap events all satisfy t >= e.t and
-      // t < old win_lo_ + kWidth <= new win_lo_ + kWidth, so re-anchoring
-      // the (bucket-aligned) window at e.t preserves containment and the
-      // slow path can take over at any moment without redistribution.
-      win_lo_ = e.t / kWidth * kWidth;
-      return e;
-    }
-    if (fifoEmpty() && cur_.empty()) advance();
-    Item e;
-    const bool take_fifo =
-        !fifoEmpty() &&
-        (cur_.empty() || After{}(cur_.front(), now_fifo_[fifo_head_]));
-    if (take_fifo) {
-      e = now_fifo_[fifo_head_];
-      ++fifo_head_;
-    } else {
-      std::pop_heap(cur_.begin(), cur_.end(), After{});
-      e = cur_.back();
-      cur_.pop_back();
+    if (head_ == front_.size) refill();
+    const Item e = front_.data[head_++];
+    // Refill the front from index zero once it drains, so same-instant
+    // hand-off chains never grow it.
+    if (head_ == front_.size) {
+      front_.size = 0;
+      head_ = 0;
     }
     --size_;
-    if (fifoEmpty() && ring_count_ == 0 && far_.empty()) bypass_ = true;
     return e;
   }
 
-  /// Timestamp of the next event to pop. Queue must be non-empty.
+  /// Timestamp of the next event to pop. Queue must be non-empty. Does not
+  /// move `last`: runUntil() may stop short of this time and then accept
+  /// pushes below it.
   Time nextTime() const {
     assert(size_ > 0);
-    if (!fifoEmpty()) return fifo_time_;  // minimal: all others >= now
-    if (!cur_.empty()) return cur_.front().t;
-    if (ring_count_ > 0) {
-      const auto& b = ring_[nextSlot(slotOf(win_lo_))];
-      Time t = b.front().t;
-      for (const Item& e : b) {
-        if (e.t < t) t = e.t;
-      }
-      return t;
-    }
-    return far_.top().t;
+    if (head_ != front_.size) return last_;
+    return minTime(buckets_[std::countr_zero(mask_)]);
   }
 
  private:
-  // 64 Ki-ns buckets, 512 of them: sub-microsecond timers (semaphore waits,
-  // NIC transfers) almost never cross a window edge, and the ring still
-  // covers ~33 ms of future — device service times and think times included.
-  // Coarser timers overflow to the far heap.
-  static constexpr Time kWidth = 65536;
-  static constexpr std::size_t kBuckets = 512;
-  static constexpr Time kHorizon = kWidth * static_cast<Time>(kBuckets);
-  static constexpr std::size_t kWords = kBuckets / 64;
+  /// Append-only event array. std::vector's push_back stays an out-of-line
+  /// call at the kernel's push sites and in refill(); here the append is
+  /// inline and only growth is a call.
+  struct Items {
+    std::unique_ptr<Item[]> data;
+    std::size_t size = 0;
+    std::size_t cap = 0;
 
-  /// "a comes after b": heap comparator yielding a (time, seq) min-front.
-  struct After {
-    bool operator()(const Item& a, const Item& b) const noexcept {
-      return a.t > b.t || (a.t == b.t && a.seq > b.seq);
+    void append(const Item& e) {
+      if (size == cap) [[unlikely]] grow();
+      data[size++] = e;
+    }
+    [[gnu::noinline]] void grow() {
+      cap = cap == 0 ? 64 : 2 * cap;
+      std::unique_ptr<Item[]> d(new Item[cap]);
+      std::copy_n(data.get(), size, d.get());
+      data = std::move(d);
     }
   };
 
-  static std::size_t slotOf(Time t) noexcept {
-    return static_cast<std::size_t>(t / kWidth) % kBuckets;
+  /// Bucket of a time t != last: the index of the highest differing bit.
+  static int bucketOf(Time t, Time last) noexcept {
+    return std::bit_width(t ^ last) - 1;
   }
 
-  /// Next populated ring slot strictly after `s0`, circularly. Requires
-  /// ring_count_ > 0; a couple of word scans thanks to the occupancy bitmap.
-  std::size_t nextSlot(std::size_t s0) const noexcept {
-    std::size_t s = (s0 + 1) % kBuckets;
-    const std::size_t w0 = s >> 6;
-    if (const std::uint64_t word = bits_[w0] >> (s & 63); word != 0) {
-      return s + static_cast<std::size_t>(std::countr_zero(word));
+  static Time minTime(const Items& b) noexcept {
+    Time t = b.data[0].t;
+    for (std::size_t i = 1; i < b.size; ++i) {
+      if (b.data[i].t < t) t = b.data[i].t;
     }
-    for (std::size_t k = 1; k <= kWords; ++k) {
-      const std::size_t w = (w0 + k) % kWords;
-      if (bits_[w] != 0) {
-        return (w << 6) + static_cast<std::size_t>(std::countr_zero(bits_[w]));
+    return t;
+  }
+
+  /// Front is drained: splits the lowest non-empty bucket around its
+  /// minimum time, which becomes the new `last`.
+  void refill() {
+    assert(mask_ != 0);
+    const int k = std::countr_zero(mask_);
+    Items& b = buckets_[k];
+    const Time lo = minTime(b);
+    last_ = lo;
+    std::uint64_t mask = mask_ & ~(std::uint64_t{1} << k);
+    const Item* const src = b.data.get();
+    const std::size_t n = b.size;
+    for (std::size_t i = 0; i < n; ++i) {
+      const Item& e = src[i];
+      if (e.t == lo) {
+        front_.append(e);
+      } else {
+        const int j = bucketOf(e.t, lo);  // j < k
+        buckets_[j].append(e);
+        mask |= std::uint64_t{1} << j;
       }
     }
-    assert(false && "ring_count_ > 0 but occupancy bitmap empty");
-    return s0;
+    mask_ = mask;
+    b.size = 0;
   }
 
-  /// Files a future (t > now) event into window heap, ring, or far heap.
-  void place(Item e) {
-    assert(e.t >= win_lo_);
-    if (e.t < win_lo_ + kWidth) {
-      cur_.push_back(e);
-      std::push_heap(cur_.begin(), cur_.end(), After{});
-    } else if (e.t - win_lo_ < kHorizon) {
-      const std::size_t s = slotOf(e.t);
-      ring_[s].push_back(e);
-      bits_[s >> 6] |= 1ULL << (s & 63);
-      ++ring_count_;
-    } else {
-      far_.push(e);
-    }
-  }
-
-  /// Moves the current window forward to the next populated bucket (or to
-  /// the far heap's front when the ring is empty), then pulls far events
-  /// that the new horizon now covers back into the ring.
-  void advance() {
-    if (ring_count_ > 0) {
-      const std::size_t s0 = slotOf(win_lo_);
-      const std::size_t s = nextSlot(s0);
-      const std::size_t d = (s + kBuckets - s0) % kBuckets;
-      assert(d > 0);
-      win_lo_ += static_cast<Time>(d) * kWidth;
-      auto& b = ring_[s];
-      assert(!b.empty());
-      cur_.swap(b);
-      bits_[s >> 6] &= ~(1ULL << (s & 63));
-      ring_count_ -= cur_.size();
-      std::make_heap(cur_.begin(), cur_.end(), After{});
-      drainFar();
-      return;
-    }
-    assert(!far_.empty());
-    win_lo_ = (far_.top().t / kWidth) * kWidth;
-    drainFar();  // guaranteed to move far_.top() into the window heap
-  }
-
-  void drainFar() {
-    while (!far_.empty() && far_.top().t - win_lo_ < kHorizon) {
-      place(far_.top());
-      far_.pop();
-    }
-  }
-
-  bool fifoEmpty() const noexcept { return fifo_head_ == now_fifo_.size(); }
-
-  // Events at exactly the current time: a vector drained via a head index
-  // (cheaper empty-check than a deque, and the storage is reused once
-  // drained since the FIFO refills from index zero).
-  std::vector<Item> now_fifo_;
-  std::size_t fifo_head_ = 0;
-  Time fifo_time_ = 0;
-  std::vector<Item> cur_;  // (time, seq) min-heap over [win_lo_, win_lo_+W)
-  Time win_lo_ = 0;
-  std::vector<Item> ring_[kBuckets];
-  std::uint64_t bits_[kWords] = {};  // per-slot non-empty occupancy bitmap
-  std::size_t ring_count_ = 0;
-  std::priority_queue<Item, std::vector<Item>, After> far_;
+  Items front_;  // events at last_, FIFO from head_
+  std::size_t head_ = 0;
+  Time last_ = 0;
+  Items buckets_[64];
+  std::uint64_t mask_ = 0;  // bit k set iff buckets_[k] is non-empty
   std::size_t size_ = 0;
-  // True iff every stored event is in cur_ (see "Adaptive single-window
-  // bypass" above); push/pop then skip the other levels entirely.
-  bool bypass_ = true;
-
 };
 
 }  // namespace daosim::sim

@@ -1,6 +1,6 @@
 // Conservative parallel DES: per-shard event queues with lookahead windows.
 //
-// A ShardGroup owns K Simulations ("shards"), each with its own two-level
+// A ShardGroup owns K Simulations ("shards"), each with its own radix
 // event queue, clock, sequence counter and RNG lane, and runs them on K
 // persistent worker threads using classic conservative (time-window)
 // synchronization:

@@ -1,4 +1,4 @@
-// Kernel-performance invariants: the two-level event queue's exact
+// Kernel-performance invariants: the radix event queue's exact
 // (time, seq) ordering contract, the pooled frame allocator's steady-state
 // reuse, ProcHandle's intrusive join-state lifetime, the release-build
 // scheduleAt clamp, and serial-vs-parallel sweep determinism.
@@ -6,10 +6,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <future>
+#include <memory>
+#include <queue>
 #include <random>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/ior.h"
@@ -35,7 +39,7 @@ using sim::Task;
 using sim::Time;
 using namespace sim::literals;
 
-// --- Two-level queue: exact order under randomized schedules -------------
+// --- Radix queue: exact order under randomized schedules ----------------
 
 struct RefItem {
   Time t;
@@ -50,8 +54,8 @@ struct RefAfter {
 
 // Drives EventQueue and a std::priority_queue reference with the same
 // randomized push/pop schedule and asserts identical (t, seq) pop order.
-// The delta distribution mixes the regimes the queue's levels split on:
-// same-instant hand-offs, current-window, near-ring and far-heap times.
+// The delta distribution mixes same-instant hand-offs with timers from
+// sub-microsecond to seconds ahead, so events spread over many buckets.
 void crossCheck(std::uint64_t rng_seed, int rounds) {
   std::mt19937_64 rng(rng_seed);
   EventQueue q;
@@ -64,11 +68,11 @@ void crossCheck(std::uint64_t rng_seed, int rounds) {
     for (int i = 0; i < pushes; ++i) {
       Time delta = 0;
       switch (rng() % 5) {
-        case 0: delta = 0; break;                        // now-FIFO
-        case 1: delta = rng() % 4096; break;             // current window
-        case 2: delta = rng() % (512 * 4096); break;     // near ring
-        case 3: delta = rng() % 100'000'000; break;      // far heap
-        default: delta = rng() % 10'000'000'000ULL; break;  // very far
+        case 0: delta = 0; break;                        // same instant
+        case 1: delta = rng() % 4096; break;             // sub-microsecond
+        case 2: delta = rng() % (512 * 4096); break;     // ~milliseconds
+        case 3: delta = rng() % 100'000'000; break;      // ~0.1 s
+        default: delta = rng() % 10'000'000'000ULL; break;  // ~10 s
       }
       q.push(now, now + delta, seq, std::coroutine_handle<>{});
       ref.push(RefItem{now + delta, seq});
@@ -113,7 +117,7 @@ TEST(EventQueue, FifoWithinTimestamp) {
 }
 
 TEST(EventQueue, SparseTimestampsFallBackToFarHeap) {
-  // Timestamps days apart: everything lands in the far heap and must still
+  // Timestamps days apart: all land in the high buckets and must still
   // pop in exact order.
   EventQueue q;
   std::vector<Time> times;
@@ -126,6 +130,178 @@ TEST(EventQueue, SparseTimestampsFallBackToFarHeap) {
   std::sort(times.begin(), times.end());
   for (Time expect : times) {
     EXPECT_EQ(q.pop().t, expect);
+  }
+}
+
+// Drives an EventQueue and a std::priority_queue reference in lockstep.
+// `now` follows the kernel's rules: it moves to each popped time, and
+// stopShort() may advance it below the next pending time, as runUntil()
+// does when it stops before the next event.
+struct Lockstep {
+  EventQueue q;
+  std::priority_queue<RefItem, std::vector<RefItem>, RefAfter> ref;
+  Time now = 0;
+  std::uint64_t seq = 0;
+
+  void push(Time t) {
+    ASSERT_GE(t, now);
+    q.push(now, t, seq, std::coroutine_handle<>{});
+    ref.push(RefItem{t, seq});
+    ++seq;
+  }
+  void pop() {
+    ASSERT_FALSE(ref.empty());
+    ASSERT_EQ(q.nextTime(), ref.top().t);
+    const EventQueue::Item got = q.pop();
+    ASSERT_EQ(got.t, ref.top().t);
+    ASSERT_EQ(got.seq, ref.top().seq);
+    now = got.t;
+    ref.pop();
+    ASSERT_EQ(q.size(), ref.size());
+  }
+  void stopShort(Time t) {
+    ASSERT_GE(t, now);
+    if (!ref.empty()) {
+      // runUntil() consults nextTime() before it stops short.
+      ASSERT_EQ(q.nextTime(), ref.top().t);
+      ASSERT_LT(t, ref.top().t);
+    }
+    now = t;
+  }
+  void drain() {
+    while (!ref.empty()) {
+      pop();
+      if (testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_TRUE(q.empty());
+  }
+};
+
+TEST(EventQueue, EqualTimesStayFifoAcrossRedistribution) {
+  // Events at T pushed from time 0 park in a high bucket; more events at T
+  // are pushed as the clock climbs towards T (each lands in a lower bucket
+  // than the first batch did) and after the clock reaches T (the front).
+  // Every split must keep them in seq order.
+  Lockstep ls;
+  const Time T = (Time{1} << 40) + 12345;
+  for (int i = 0; i < 5; ++i) ls.push(T);
+  for (int b = 0; b < 40; b += 3) ls.push(Time{1} << b);
+  ls.push(T - 1);
+  while (ls.ref.top().t < T) {
+    ls.pop();
+    ASSERT_FALSE(testing::Test::HasFatalFailure());
+    ls.push(T);  // seq later than every event already at T
+    if (T - ls.now >= 2) ls.push(ls.now + (T - ls.now) / 2);
+  }
+  ls.pop();  // the first event at T: the clock reaches T
+  ASSERT_FALSE(testing::Test::HasFatalFailure());
+  for (int i = 0; i < 5; ++i) ls.push(T);
+  ls.push(T + 1);
+  ls.drain();
+}
+
+TEST(EventQueue, PowerOfTwoBoundariesAndTopBit) {
+  // Times on both sides of every power of two, and times with bit 63 set
+  // (the top bucket), pushed in a scrambled order; then a second round
+  // straddling the boundaries just above the running clock.
+  Lockstep ls;
+  std::vector<Time> times;
+  for (int b = 1; b < 64; ++b) {
+    const Time p = Time{1} << b;
+    times.insert(times.end(), {p - 1, p, p + 1});
+  }
+  const Time top = Time{1} << 63;
+  times.insert(times.end(), {top + 7, top + 7, ~Time{0}, ~Time{0} - 1,
+                             top | (top >> 1)});
+  std::mt19937_64 rng(63);
+  std::shuffle(times.begin(), times.end(), rng);
+  for (Time t : times) ls.push(t);
+  for (int i = 0; i < 100; ++i) {
+    ls.pop();
+    ASSERT_FALSE(testing::Test::HasFatalFailure());
+    if (ls.now >= top) continue;
+    const Time p = std::bit_ceil(ls.now + 1);  // next power of two above now
+    ls.push(p - 1);
+    ls.push(p);
+    if (i % 3 == 0) ls.push(ls.now);
+  }
+  ls.drain();
+}
+
+TEST(EventQueue, NextTimeMatchesPopUnderStopShortSchedules) {
+  // Randomized: at every step nextTime() must equal the next popped time,
+  // including after the clock stopped short of the next event and pushes
+  // landed between the clock and that event.
+  for (std::uint64_t s = 1; s <= 6; ++s) {
+    std::mt19937_64 rng(s * 7919);
+    Lockstep ls;
+    for (int round = 0; round < 500; ++round) {
+      if (!ls.ref.empty() && rng() % 4 == 0) {
+        const Time gap = ls.ref.top().t - ls.now;
+        if (gap > 0) ls.stopShort(ls.now + rng() % gap);
+      }
+      const int pushes = static_cast<int>(rng() % 8);
+      for (int i = 0; i < pushes; ++i) {
+        const int shift = static_cast<int>(rng() % 40);
+        ls.push(ls.now + (rng() % 3 == 0 ? 0 : rng() % (Time{1} << shift)));
+      }
+      const int pops = static_cast<int>(rng() % 8);
+      for (int i = 0; i < pops && !ls.ref.empty(); ++i) {
+        ls.pop();
+        ASSERT_FALSE(testing::Test::HasFatalFailure());
+      }
+    }
+    ls.drain();
+  }
+}
+
+struct Wake {
+  Simulation* sim = nullptr;
+  Time at = 0;
+  std::uint64_t id = 0;
+  std::vector<std::pair<Time, std::uint64_t>>* log = nullptr;
+};
+
+Task<void> wakeAt(Wake* w) {
+  co_await w->sim->delay(w->at - w->sim->now());
+  w->log->emplace_back(w->sim->now(), w->id);
+}
+
+TEST(Simulation, RunUntilStopsShortThenAcceptsEarlierPushes) {
+  // runUntil(t) stops before the next pending event and sets now = t; the
+  // processes spawned afterwards wake in [t, next) and beyond. Wake-up
+  // order must match a (time, spawn order) priority-queue reference.
+  Simulation simu;
+  std::vector<std::pair<Time, std::uint64_t>> log;
+  std::vector<std::unique_ptr<Wake>> wakes;
+  std::priority_queue<RefItem, std::vector<RefItem>, RefAfter> ref;
+  std::mt19937_64 rng(17);
+  auto spawnAt = [&](Time at) {
+    wakes.push_back(std::make_unique<Wake>(
+        Wake{&simu, at, wakes.size(), &log}));
+    ref.push(RefItem{at, wakes.back()->id});
+    simu.spawn(wakeAt(wakes.back().get()));
+  };
+  spawnAt(1'000'000);
+  for (int i = 0; i < 16; ++i) spawnAt(1'000'000 + rng() % 1'000'000);
+  for (int stop = 0; stop < 6; ++stop) {
+    const Time next = simu.nextEventTime();
+    const Time t = simu.now() + (next - simu.now()) / 3;
+    ASSERT_LT(t, next);
+    EXPECT_EQ(simu.runUntil(t), 0u);
+    EXPECT_EQ(simu.now(), t);
+    for (int i = 0; i < 8; ++i) spawnAt(t + rng() % (next - t));
+    spawnAt(t);
+    spawnAt(next);
+    spawnAt(next + rng() % 1'000'000);
+    simu.runUntil(t + (next - t) / 2);  // pops part of the new events
+  }
+  simu.run();
+  ASSERT_EQ(log.size(), ref.size());
+  for (const auto& [at, id] : log) {
+    EXPECT_EQ(at, ref.top().t);
+    EXPECT_EQ(id, ref.top().seq);
+    ref.pop();
   }
 }
 

@@ -3,13 +3,18 @@
 
     hostprof.py run --lib build/tools/hostprof/libhostprof.so \\
         --out prof.txt [--top N] -- ./build/tools/daosim_run --bench ior ...
-    hostprof.py report prof.txt [--top N]
+    hostprof.py report prof.txt [--top N] [--by-caller] [--annotate FUNC]
 
 `run` profiles one command (its children are not profiled) and then
 reports. The report lists functions by self share (samples whose
 interrupted PC lies in the function) and by inclusive share (samples with
 the function anywhere on the stack, counted once per sample). Symbols come
 from `nm -C` on each mapped file, so build with symbols (RelWithDebInfo).
+
+--by-caller charges samples whose leaf lies in a library without a full
+symbol table (libc's `[libc.so.6]`, `malloc`, `free`, ...) to their first
+caller that has one. --annotate FUNC lists the hottest instruction
+addresses inside FUNC as the link-time addresses `objdump -d` prints.
 """
 
 import argparse
@@ -86,7 +91,7 @@ def load_symbols(path):
                                  extra + [path], capture_output=True,
                                  text=True).stdout
         except OSError:
-            return []
+            return [], False
         syms = []
         for line in out.splitlines():
             parts = line.split(" ", 3)
@@ -101,8 +106,8 @@ def load_symbols(path):
                 syms.append((int(addr, 16), size and int(size, 16),
                              short_name(name)))
         if syms:
-            return syms
-    return []
+            return syms, not extra
+    return [], False
 
 
 def short_name(name):
@@ -133,6 +138,9 @@ def short_name(name):
     return name
 
 
+Frame = collections.namedtuple("Frame", "name path vaddr sym_addr full")
+
+
 class Symbolizer:
     def __init__(self, maps):
         self.maps = maps
@@ -146,34 +154,63 @@ class Symbolizer:
                 segs = load_segments(path)
             except OSError:
                 segs = []
-            syms = load_symbols(path) if segs else []
-            self.files[path] = (segs, syms, [a for a, _, _ in syms])
+            syms, full = load_symbols(path) if segs else ([], False)
+            self.files[path] = (segs, syms, [a for a, _, _ in syms], full)
         return self.files[path]
 
-    def name(self, addr):
+    def resolve(self, addr):
+        """Frame(name, path, vaddr, sym_addr, full) of a runtime address:
+        vaddr is the link-time address, sym_addr the enclosing symbol's
+        (None when unsymbolized), full whether the file has a full symbol
+        table rather than only its dynamic exports."""
         if addr in self.cache:
             return self.cache[addr]
-        name = f"0x{addr:x}"
+        frame = Frame(f"0x{addr:x}", None, None, None, False)
         i = bisect.bisect_right(self.starts, addr) - 1
         if i >= 0 and addr < self.maps[i][1]:
             start, _, offset, path = self.maps[i]
             off = addr - start + offset
-            name = f"[{os.path.basename(path)}]"
-            segs, syms, addrs = self._file(path)
+            segs, syms, addrs, full = self._file(path)
+            frame = Frame(f"[{os.path.basename(path)}]", path, None, None,
+                          full)
             for p_offset, p_filesz, p_vaddr in segs:
                 if p_offset <= off < p_offset + p_filesz:
                     vaddr = off - p_offset + p_vaddr
+                    frame = frame._replace(vaddr=vaddr)
                     j = bisect.bisect_right(addrs, vaddr) - 1
                     if j >= 0:
                         sym_addr, size, sym_name = syms[j]
                         if size is None or vaddr < sym_addr + size:
-                            name = sym_name
+                            frame = frame._replace(name=sym_name,
+                                                   sym_addr=sym_addr)
                     break
-        self.cache[addr] = name
-        return name
+        self.cache[addr] = frame
+        return frame
 
 
-def report(path, top, out=sys.stdout):
+def annotate(samples, resolve, func, top, out):
+    """Hottest leaf instruction addresses inside the function named
+    `func` (exact name, else every function whose name contains it)."""
+    leaves = [resolve(s[0]) for s in samples]
+    names = {f.name for f in leaves}
+    wanted = {func} if func in names else {n for n in names if func in n}
+    if not wanted:
+        sys.exit(f"hostprof: --annotate: no samples in {func!r}")
+    for name in sorted(wanted):
+        hits = collections.Counter(f for f in leaves if f.name == name)
+        n = sum(hits.values())
+        path = next(iter(hits)).path or "?"
+        print(f"\nannotate {name[:160]}  ({path})\n"
+              f"{n} samples, {100.0 * n / len(samples):.1f}% of all", file=out)
+        print(f"{'address':>18}  {'offset':>8}  share", file=out)
+        for f, k in hits.most_common(top):
+            where = (f"0x{f.vaddr:x}" if f.vaddr is not None else "?")
+            off = (f"+0x{f.vaddr - f.sym_addr:x}" if f.sym_addr is not None
+                   else "?")
+            print(f"{where:>18}  {off:>8}  {100.0 * k / n:5.1f}%", file=out)
+
+
+def report(path, top, by_caller=False, func=None, out=sys.stdout):
     samples, maps, dropped = parse_profile(path)
     if not samples:
         sys.exit(f"hostprof: {path}: no samples")
@@ -181,27 +218,41 @@ def report(path, top, out=sys.stdout):
     self_n, incl_n = collections.Counter(), collections.Counter()
     for frames in samples:
         # Callers are return addresses; step back into the call instruction.
-        names = [sym.name(frames[0])] + [sym.name(a - 1) for a in frames[1:]]
-        self_n[names[0]] += 1
-        incl_n.update(set(names))
+        stack = ([sym.resolve(frames[0])] +
+                 [sym.resolve(a - 1) for a in frames[1:]])
+        leaf = stack[0]
+        if by_caller:
+            leaf = next((f for f in stack if f.full), leaf)
+        self_n[leaf.name] += 1
+        incl_n.update({f.name for f in stack})
     total = len(samples)
     print(f"{total} samples ({dropped} dropped)", file=out)
-    for title, counts in (("self", self_n), ("inclusive", incl_n)):
+    self_title = "self by caller" if by_caller else "self"
+    for title, counts in ((self_title, self_n), ("inclusive", incl_n)):
         print(f"\n{title:>9}  function", file=out)
         for name, n in counts.most_common(top):
             print(f"{100.0 * n / total:8.1f}%  {name[:160]}", file=out)
+    if func is not None:
+        annotate(samples, sym.resolve, func, top, out)
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
-    rp = sub.add_parser("report", help="report a profile file")
+    opts = argparse.ArgumentParser(add_help=False)
+    opts.add_argument("--top", type=int, default=25)
+    opts.add_argument("--by-caller", action="store_true",
+                      help="charge samples in libraries without a full "
+                           "symbol table to their first caller that has one")
+    opts.add_argument("--annotate", metavar="FUNC",
+                      help="list the hottest instruction addresses in FUNC")
+    rp = sub.add_parser("report", parents=[opts],
+                        help="report a profile file")
     rp.add_argument("profile")
-    rp.add_argument("--top", type=int, default=25)
-    run = sub.add_parser("run", help="profile a command, then report")
+    run = sub.add_parser("run", parents=[opts],
+                         help="profile a command, then report")
     run.add_argument("--lib", required=True, help="path to libhostprof.so")
     run.add_argument("--out", default="hostprof.out")
-    run.add_argument("--top", type=int, default=25)
     run.add_argument("command", nargs=argparse.REMAINDER)
     args = ap.parse_args()
     if args.cmd == "run":
@@ -216,9 +267,9 @@ def main():
                    HOSTPROF_OUT=os.path.abspath(args.out), ASAN_OPTIONS=asan)
         if subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode:
             sys.exit(f"hostprof: command failed: {' '.join(cmd)}")
-        report(args.out, args.top)
+        report(args.out, args.top, args.by_caller, args.annotate)
     else:
-        report(args.profile, args.top)
+        report(args.profile, args.top, args.by_caller, args.annotate)
 
 
 if __name__ == "__main__":
