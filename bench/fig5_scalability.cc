@@ -6,9 +6,9 @@
 // four APIs and for Field I/O / fdb-hammer; HDF5-on-DFUSE+IL reaches about
 // half and flattens around 16 servers; HDF5-on-libdaos stops scaling beyond
 // ~4 servers (serialized adaptor metadata). The 32/48/64-server points
-// extend past the paper's measured range; they run on the sharded kernel
-// where the API allows it (DESIGN.md §11c), which is what makes them
-// affordable by default.
+// extend past the paper's measured range. Every point runs on the serial
+// kernel; sweep points and repetitions run concurrently under DAOSIM_JOBS
+// (sim::ParallelRunner), which is faster here than intra-run sharding.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -29,9 +29,8 @@ using apps::SweepPoint;
 constexpr int kClients = 16;
 constexpr int kPpn = 16;
 
-// Beyond the paper's 24-engine ceiling, deploy on the sharded kernel.
-constexpr int kShardThresholdServers = 32;
-constexpr int kShards = 4;
+// Points beyond the paper's 24-engine ceiling (budget-guarded below).
+constexpr int kExtendedServers = 32;
 
 // Wall-clock guard for the extended points: once the process has been
 // running for DAOSIM_FIG5_BUDGET_S seconds (default 900, 0 = unlimited),
@@ -55,7 +54,7 @@ bool overBudget() {
 }
 
 bool skipExtendedPoint(const char* series, int servers) {
-  if (servers < kShardThresholdServers || !overBudget()) return false;
+  if (servers < kExtendedServers || !overBudget()) return false;
   std::fprintf(stderr,
                "fig5: wall-clock budget exhausted (DAOSIM_FIG5_BUDGET_S); "
                "skipping %s at %d servers (zero row)\n",
@@ -76,24 +75,11 @@ DaosTestbed makeTestbed(int servers, std::uint64_t seed, bool with_dfuse) {
   opt.client_nodes = kClients;
   opt.seed = seed;
   opt.with_dfuse = with_dfuse;
-  // Extended points deploy on the sharded kernel when no FUSE daemon is
-  // required; dfuse-backed APIs stay serial at every size (§11c).
-  if (servers >= kShardThresholdServers && !with_dfuse) {
-    opt.sim_jobs = kShards;
-  }
   return DaosTestbed(opt);
 }
 
-/// Harness dispatch, as in daosim_run: sharded testbeds run on the
-/// ShardGroup harness, serial ones on the frozen serial harness.
-/// Telemetry only attaches serially (samplers bind to one simulation).
 apps::RunResult runOn(DaosTestbed& tb, const std::string& label,
                       apps::SpmdBenchmark& bench) {
-  if (tb.shardGroup() != nullptr) {
-    return apps::runSpmdSharded(tb.cluster(), *tb.shardGroup(),
-                                tb.clientSubset(kClients), kPpn, tb.seed(),
-                                bench);
-  }
   apps::ScopedRunTelemetry telem(tb.sim(), label);
   if (telem.active()) apps::registerProbes(telem.telemetry(), tb);
   return apps::runSpmd(tb.sim(), tb.clientSubset(kClients), kPpn, bench);
@@ -137,8 +123,7 @@ apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed) {
 int main(int argc, char** argv) {
   // Server counts on the x axis (as SweepPoint.client_nodes). The paper
   // stops at 24 engines; the 32/48/64 points probe where the simulated
-  // systems stop scaling, and run by default now that sharded deployment
-  // (DESIGN.md §11c) makes them affordable — guarded by
+  // systems stop scaling and run by default, guarded by
   // DAOSIM_FIG5_BUDGET_S above.
   std::vector<apps::SweepPoint> servers;
   for (int s : {1, 2, 4, 8, 16, 24, 32, 48, 64}) servers.push_back({s, kPpn});

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cassert>
+#include <coroutine>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -224,18 +225,50 @@ class Cluster {
         s.spec().nic.per_message + transferTime(wire, s.spec().nic.gibps);
     const sim::Time rx_time =
         d.spec().nic.per_message + transferTime(wire, d.spec().nic.gibps);
-    auto receive = [](sim::Simulation& sm, sim::QueueStation& rx,
-                      sim::Time lat, sim::Time ser, obs::OpId op,
-                      obs::Cat cat) -> sim::Task<void> {
-      co_await sm.delay(lat);
-      // Structure-only: the parent "send" leg carries the aggregate charge.
-      co_await rx.exec(ser, op, cat, /*nested=*/true);
-    };
-    auto delivery = sim_->spawn(
-        receive(*sim_, d.rx(), fabric_.latency, rx_time, ctx, cat));
+    // The receive side runs detached and reports into `rec`, which lives
+    // in this frame. That is safe only because this coroutine always
+    // outlives it: tx exec() cannot throw, so the frame always reaches the
+    // wait below, and every caller awaits the send to completion (the
+    // retry timeout race's attemptLeg included: its caller stops waiting,
+    // but attemptLeg itself still awaits the send).
+    Delivery rec;
+    deliver(&rec, sim_, &d.rx(), fabric_.latency, rx_time, ctx, cat);
     co_await s.tx().exec(tx_time, ctx, cat, /*nested=*/true);
-    co_await delivery.join();
+    co_await AwaitDelivery{&rec};
     finishSend(src, op, cat, started, send_leg);
+  }
+
+  /// Join record of one serial send: set by the receive side when the
+  /// message is fully received, naming the sender if it parked first.
+  struct Delivery {
+    bool done = false;
+    std::coroutine_handle<> sender;
+  };
+
+  /// Completes at once if the message was already received; otherwise
+  /// parks the sender until deliver() schedules it.
+  struct AwaitDelivery {
+    Delivery* rec;
+    bool await_ready() const noexcept { return rec->done; }
+    void await_suspend(std::coroutine_handle<> h) const noexcept {
+      rec->sender = h;
+    }
+    void await_resume() const noexcept {}
+  };
+
+  /// Receive side of a serial send: fabric latency, then the receiver's
+  /// NIC. Completion resumes a parked sender through the scheduler at the
+  /// current instant, as a process join does, so the schedule matches a
+  /// spawn-and-join exactly. Plain-data parameters only (see net/rpc.h).
+  static sim::detail::Root deliver(Delivery* rec, sim::Simulation* sim,
+                                   sim::QueueStation* rx, sim::Time latency,
+                                   sim::Time service, obs::OpId op,
+                                   obs::Cat cat) {
+    co_await sim->delay(latency);
+    // Structure-only: the parent "send" leg carries the aggregate charge.
+    co_await rx->exec(service, op, cat, /*nested=*/true);
+    rec->done = true;
+    if (rec->sender) sim->scheduleAt(sim->now(), rec->sender);
   }
 
   /// Mailbox tie-break key for a delivery departing `src` for `dst` at
@@ -254,7 +287,8 @@ class Cluster {
   }
 
   /// Sharded send. Exactly the serial timing, restructured so the message
-  /// is a one-way coroutine migration instead of a spawn-and-join:
+  /// is a one-way coroutine migration instead of a detached receive side
+  /// the sender waits for:
   ///
   ///   serial:  completion = max(tx.exec done, rx.exec done after latency)
   ///   sharded: T_tx = src.tx.reserve(tx_time)          — at t0, no suspend
@@ -264,7 +298,7 @@ class Cluster {
   ///
   /// reserve() returns the same completion instant the semaphore FIFO would
   /// (single-server stations used uniformly through reserve), and the
-  /// return edge that made the serial shape unshardable — delivery.join()
+  /// return edge that made the serial shape unshardable — the delivery wait
   /// completing *at* T_tx with zero latency back to the sender — is gone:
   /// the sender's side is fully accounted before the migration departs.
   /// Per-shard counter blocks keep the bookkeeping race-free; rx bytes are

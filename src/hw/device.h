@@ -16,6 +16,7 @@
 #pragma once
 
 #include <algorithm>
+#include <coroutine>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -23,7 +24,6 @@
 #include "hw/spec.h"
 #include "obs/observer.h"
 #include "sim/simulation.h"
-#include "sim/task.h"
 
 namespace daosim::hw {
 
@@ -40,27 +40,14 @@ class NvmeDevice {
   NvmeDevice(sim::Simulation& sim, NvmeSpec spec, std::string name)
       : sim_(&sim), spec_(spec), name_(std::move(name)) {}
 
-  sim::Task<void> write(std::uint64_t bytes, obs::OpId op = 0) {
-    throwIfFailed();
-    bytes_written_ += bytes;
-    ++write_ops_;
-    co_await io(std::max(transferTime(bytes, spec_.write_gibps),
-                         spec_.write_op_service),
-                spec_.write_latency + transferTime(bytes, spec_.burst_gibps),
-                op);
-    throwIfFailed();  // failure may have been injected while queued
-  }
+  class IoAwaiter;
 
-  sim::Task<void> read(std::uint64_t bytes, obs::OpId op = 0) {
-    throwIfFailed();
-    bytes_read_ += bytes;
-    ++read_ops_;
-    co_await io(std::max(transferTime(bytes, spec_.read_gibps),
-                         spec_.read_op_service),
-                spec_.read_latency + transferTime(bytes, spec_.burst_gibps),
-                op);
-    throwIfFailed();
-  }
+  /// Writes (reads) `bytes`: `co_await dev.write(n, op)`. The call throws
+  /// DeviceFailed if the device is down and counts the op; the returned
+  /// awaiter (no coroutine frame) admits it to the device when awaited and
+  /// re-checks for failure when it completes.
+  IoAwaiter write(std::uint64_t bytes, obs::OpId op = 0);
+  IoAwaiter read(std::uint64_t bytes, obs::OpId op = 0);
 
   // Failure semantics ("fail-at-dequeue"): fail() takes effect immediately
   // for new submissions (throwIfFailed at op entry) AND for ops already in
@@ -103,44 +90,6 @@ class NvmeDevice {
   int tracePid() const noexcept { return trace_pid_; }
 
  private:
-  sim::Task<void> io(sim::Time service, sim::Time completion_latency,
-                     obs::OpId op) {
-    if (slowdown_ != 1.0) {  // gated so the default path stays bit-exact
-      service = static_cast<sim::Time>(static_cast<double>(service) *
-                                       slowdown_);
-      completion_latency = static_cast<sim::Time>(
-          static_cast<double>(completion_latency) * slowdown_);
-    }
-    const sim::Time now = sim_->now();
-    virtual_end_ = std::max(virtual_end_, now) + service;
-    busy_ += service;
-    ++inflight_;
-    // Ack when the burst transfer completes AND the backlog fits the
-    // absorption window; the two overlap (cache fill proceeds while the
-    // medium drains), so the wait is the max, not the sum.
-    sim::Time wait = completion_latency;
-    if (virtual_end_ > now + spec_.backlog_window) {
-      wait = std::max(wait, virtual_end_ - now - spec_.backlog_window);
-    }
-    co_await sim_->delay(wait);
-    --inflight_;
-    if (op != 0) {
-      if (obs::Observer* o = sim_->observer()) {
-        if (track_epoch_ != o->epoch()) {
-          track_ = o->track(trace_pid_, name_);
-          track_epoch_ = o->epoch();
-        }
-        // Backlog stall beyond the intrinsic completion latency counts as
-        // queue-wait in the causal tree; it still charges to kDevice so
-        // the aggregate category split is unchanged.
-        const sim::Time stall =
-            wait > completion_latency ? wait - completion_latency : 0;
-        o->leg(op, obs::Cat::kDevice, track_, "io", now, stall,
-               obs::Cat::kDevice);
-      }
-    }
-  }
-
   void throwIfFailed() const {
     if (failed_) throw DeviceFailed(name_);
   }
@@ -161,5 +110,95 @@ class NvmeDevice {
   std::uint64_t write_ops_ = 0;
   std::uint64_t read_ops_ = 0;
 };
+
+/// Awaiter of NvmeDevice::write/read. await_suspend admits the op (virtual
+/// drain clock, busy time, queue depth) and schedules the caller's
+/// completion; await_resume acknowledges it, records the device leg and
+/// applies the fail-at-dequeue check.
+class [[nodiscard]] NvmeDevice::IoAwaiter {
+ public:
+  bool await_ready() const noexcept { return false; }
+
+  void await_suspend(std::coroutine_handle<> h) {
+    NvmeDevice& d = *dev_;
+    if (d.slowdown_ != 1.0) {  // gated so the default path stays bit-exact
+      service_ = static_cast<sim::Time>(static_cast<double>(service_) *
+                                        d.slowdown_);
+      latency_ = static_cast<sim::Time>(static_cast<double>(latency_) *
+                                        d.slowdown_);
+    }
+    admitted_ = d.sim_->now();
+    d.virtual_end_ = std::max(d.virtual_end_, admitted_) + service_;
+    d.busy_ += service_;
+    ++d.inflight_;
+    // Ack when the burst transfer completes AND the backlog fits the
+    // absorption window; the two overlap (cache fill proceeds while the
+    // medium drains), so the wait is the max, not the sum.
+    wait_ = latency_;
+    if (d.virtual_end_ > admitted_ + d.spec_.backlog_window) {
+      wait_ = std::max(wait_,
+                       d.virtual_end_ - admitted_ - d.spec_.backlog_window);
+    }
+    d.sim_->scheduleAt(admitted_ + wait_, h);
+  }
+
+  void await_resume() {
+    NvmeDevice& d = *dev_;
+    --d.inflight_;
+    if (op_ != 0) {
+      if (obs::Observer* o = d.sim_->observer()) {
+        if (d.track_epoch_ != o->epoch()) {
+          d.track_ = o->track(d.trace_pid_, d.name_);
+          d.track_epoch_ = o->epoch();
+        }
+        // Backlog stall beyond the intrinsic completion latency counts as
+        // queue-wait in the causal tree; it still charges to kDevice so
+        // the aggregate category split is unchanged.
+        const sim::Time stall = wait_ > latency_ ? wait_ - latency_ : 0;
+        o->leg(op_, obs::Cat::kDevice, d.track_, "io", admitted_, stall,
+               obs::Cat::kDevice);
+      }
+    }
+    d.throwIfFailed();  // failure may have been injected while queued
+  }
+
+ private:
+  friend class NvmeDevice;
+
+  IoAwaiter(NvmeDevice* dev, sim::Time service, sim::Time latency,
+            obs::OpId op) noexcept
+      : dev_(dev), service_(service), latency_(latency), op_(op) {}
+
+  NvmeDevice* dev_;
+  sim::Time service_;  ///< sustained-rate (drain clock) time
+  sim::Time latency_;  ///< intrinsic completion latency
+  obs::OpId op_;
+  sim::Time admitted_ = 0;
+  sim::Time wait_ = 0;
+};
+
+inline NvmeDevice::IoAwaiter NvmeDevice::write(std::uint64_t bytes,
+                                               obs::OpId op) {
+  throwIfFailed();
+  bytes_written_ += bytes;
+  ++write_ops_;
+  return IoAwaiter(this,
+                   std::max(transferTime(bytes, spec_.write_gibps),
+                            spec_.write_op_service),
+                   spec_.write_latency + transferTime(bytes, spec_.burst_gibps),
+                   op);
+}
+
+inline NvmeDevice::IoAwaiter NvmeDevice::read(std::uint64_t bytes,
+                                              obs::OpId op) {
+  throwIfFailed();
+  bytes_read_ += bytes;
+  ++read_ops_;
+  return IoAwaiter(this,
+                   std::max(transferTime(bytes, spec_.read_gibps),
+                            spec_.read_op_service),
+                   spec_.read_latency + transferTime(bytes, spec_.burst_gibps),
+                   op);
+}
 
 }  // namespace daosim::hw

@@ -8,6 +8,14 @@
 
 namespace daosim::net {
 
+sim::Time backoffDelay(const RetryPolicy& p, int attempt, sim::Rng& rng) {
+  sim::Time b = p.backoff_base;
+  for (int i = 0; i < attempt && b < p.backoff_cap; ++i) b *= 2;
+  if (b > p.backoff_cap) b = p.backoff_cap;
+  if (b < 2) return b;
+  return b / 2 + rng.uniform(0, b / 2);
+}
+
 namespace {
 
 /// Shared state of one attempt/timeout race. Heap-held via shared_ptr so
@@ -54,26 +62,10 @@ bool retryable(const std::exception_ptr& err) {
   }
 }
 
-}  // namespace
-
-sim::Time backoffDelay(const RetryPolicy& p, int attempt, sim::Rng& rng) {
-  sim::Time b = p.backoff_base;
-  for (int i = 0; i < attempt && b < p.backoff_cap; ++i) b *= 2;
-  if (b > p.backoff_cap) b = p.backoff_cap;
-  if (b < 2) return b;
-  return b / 2 + rng.uniform(0, b / 2);
-}
-
-sim::Task<void> sendWithRetry(hw::Cluster* cluster, hw::NodeId src,
-                              hw::NodeId dst, std::uint64_t wire_bytes,
-                              RetryPolicy policy, obs::OpId op,
-                              obs::Cat cat) {
-  if (!policy.enabled()) {
-    // Zero-retry fast path: identical event schedule to the policy-free
-    // request()/respond() (no timer, no extra frames, no RNG draw).
-    co_await cluster->send(src, dst, wire_bytes, op, cat);
-    co_return;
-  }
+/// The retry loop of sendWithRetry under an enabled policy.
+sim::Task<void> retryLoop(hw::Cluster* cluster, hw::NodeId src, hw::NodeId dst,
+                          std::uint64_t wire_bytes, RetryPolicy policy,
+                          obs::OpId op, obs::Cat cat) {
   if (cluster->shardGroup() != nullptr) {
     // Sharded retry loop. The spawn-and-join timeout race below cannot
     // cross shards, so the attempt itself carries the deadline: a losing
@@ -132,6 +124,18 @@ sim::Task<void> sendWithRetry(hw::Cluster* cluster, hw::NodeId src,
     const sim::Time pause = backoffDelay(policy, attempt, sim.rng());
     if (pause > 0) co_await sim.delay(pause);
   }
+}
+
+}  // namespace
+
+sim::Task<void> sendWithRetry(hw::Cluster* cluster, hw::NodeId src,
+                              hw::NodeId dst, std::uint64_t wire_bytes,
+                              RetryPolicy policy, obs::OpId op,
+                              obs::Cat cat) {
+  // Zero-retry fast path: the send itself, with no wrapper frame, timer or
+  // RNG draw, so the schedule is that of the policy-free request/respond.
+  if (!policy.enabled()) return cluster->send(src, dst, wire_bytes, op, cat);
+  return retryLoop(cluster, src, dst, wire_bytes, policy, op, cat);
 }
 
 }  // namespace daosim::net

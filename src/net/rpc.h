@@ -38,8 +38,8 @@ inline constexpr std::uint64_t kSmallResponse = 256;
 inline sim::Task<void> request(hw::Cluster& cluster, hw::NodeId src,
                                hw::NodeId dst, std::uint64_t payload_bytes,
                                obs::OpId op = 0) {
-  co_await cluster.send(src, dst, payload_bytes + kSmallRequest, op,
-                        obs::Cat::kNetRequest);
+  return cluster.send(src, dst, payload_bytes + kSmallRequest, op,
+                      obs::Cat::kNetRequest);
 }
 
 /// Response leg: server -> client carrying `payload_bytes` of response body
@@ -47,8 +47,8 @@ inline sim::Task<void> request(hw::Cluster& cluster, hw::NodeId src,
 inline sim::Task<void> respond(hw::Cluster& cluster, hw::NodeId src,
                                hw::NodeId dst, std::uint64_t payload_bytes,
                                obs::OpId op = 0) {
-  co_await cluster.send(src, dst, payload_bytes + kSmallResponse, op,
-                        obs::Cat::kNetResponse);
+  return cluster.send(src, dst, payload_bytes + kSmallResponse, op,
+                      obs::Cat::kNetResponse);
 }
 
 // ---- retrying variants (fault-injection robustness layer) ----------------
@@ -59,8 +59,8 @@ inline sim::Task<void> respond(hw::Cluster& cluster, hw::NodeId src,
 // attempts are resent after a capped exponential backoff with half-jitter
 // from the kernel PRNG, and an exhausted budget surfaces RetryExhausted.
 // Only transient network faults (hw::NetworkDown, timeouts) are retried;
-// anything else propagates immediately. With a disabled policy this is
-// exactly one `co_await cluster.send(...)` — the zero-retry fast path the
+// anything else propagates immediately. With a disabled policy this
+// returns `cluster.send(...)` itself — the zero-retry fast path the
 // conformance suite pins byte-for-byte.
 sim::Task<void> sendWithRetry(hw::Cluster* cluster, hw::NodeId src,
                               hw::NodeId dst, std::uint64_t wire_bytes,

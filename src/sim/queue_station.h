@@ -8,6 +8,7 @@
 // instances of this model with different parameters.
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <string>
 
@@ -25,36 +26,17 @@ class QueueStation {
   QueueStation(Simulation& sim, std::string name, int servers)
       : sim_(&sim), name_(std::move(name)), sem_(sim, servers) {}
 
+  class ExecAwaiter;
+
   /// Occupies one server for `service` time, FIFO-queued. `op` (if nonzero
   /// and an observer is attached) gets one station leg recorded whose
   /// queue-wait/service split is explicit; the wait charges to
   /// Cat::kServerQueue and the service to `cat`. `nested` records the leg
   /// as structure-only (no aggregate charge) for stations that run under a
   /// charging parent leg, e.g. NIC tx/rx inside Cluster::send's "send".
-  Task<void> exec(Time service, obs::OpId op = 0,
-                  obs::Cat cat = obs::Cat::kService, bool nested = false) {
-    const Time queued_at = sim_->now();
-    co_await sem_.acquire();
-    const Time acquired_at = sim_->now();
-    wait_ns_ += acquired_at - queued_at;
-    if (sim_->observer() != nullptr) {
-      wait_hist_.add(acquired_at - queued_at);
-    }
-    co_await sim_->delay(service);
-    sem_.release();
-    busy_ns_ += service;
-    ++ops_;
-    if (op != 0) {
-      if (obs::Observer* o = sim_->observer()) {
-        const Time wait = acquired_at - queued_at;
-        if (nested) {
-          o->structLeg(op, cat, obsTrack(o), "service", queued_at, wait);
-        } else {
-          o->leg(op, cat, obsTrack(o), "service", queued_at, wait);
-        }
-      }
-    }
-  }
+  /// Returns an awaiter (no coroutine frame): `co_await st.exec(...)`.
+  ExecAwaiter exec(Time service, obs::OpId op = 0,
+                   obs::Cat cat = obs::Cat::kService, bool nested = false);
 
   /// Reserves the single server for `service` time starting now, without
   /// suspending, and returns the completion time. For a single-server FIFO
@@ -169,16 +151,11 @@ class QueueStation {
                    : 0.0;
   }
 
-  void resetStats() noexcept {
-    free_at_ = 0;
-    ops_ = 0;
-    busy_ns_ = 0;
-    wait_ns_ = 0;
-    bytes_ = 0;
-    wait_hist_.reset();
-  }
-
  private:
+  /// Contended exec(): a self-destroying waiter parks on the semaphore in
+  /// the caller's place and, on hand-off, starts the caller's service.
+  static detail::Root park(ExecAwaiter* a);
+
   /// Track id for this station, cached per observer epoch so a fresh
   /// observer (e.g. a new rep) never sees a stale id.
   obs::TrackId obsTrack(obs::Observer* o) {
@@ -202,5 +179,89 @@ class QueueStation {
   obs::TrackId track_ = 0;
   std::uint64_t track_epoch_ = 0;
 };
+
+/// exec()'s awaiter. Its schedule is that of the coroutine body
+/// "acquire; delay(service); release; account": the same events at the
+/// same times, pushed in the same order (tests/reference_models.h keeps
+/// that body as the reference), without a coroutine frame per call:
+///   * free server: await_suspend takes the permit and schedules the
+///     caller itself at now + service (the body's delay event);
+///   * busy station: a detail::Root waiter parks on the semaphore in the
+///     caller's place; the hand-off resumes it at the release instant and
+///     it schedules the caller at now + service, then ends;
+///   * await_resume runs when the service ends: release (handing the
+///     permit to the next waiter), busy/ops accounting, trace leg.
+class [[nodiscard]] QueueStation::ExecAwaiter {
+ public:
+  bool await_ready() const noexcept { return false; }
+
+  void await_suspend(std::coroutine_handle<> h) {
+    queued_at_ = st_->sim_->now();
+    caller_ = h;
+    if (st_->sem_.tryAcquire()) {
+      granted();
+    } else {
+      park(this);
+    }
+  }
+
+  void await_resume() {
+    QueueStation& st = *st_;
+    st.sem_.release();
+    st.busy_ns_ += service_;
+    ++st.ops_;
+    if (op_ != 0) {
+      if (obs::Observer* o = st.sim_->observer()) {
+        const Time wait = acquired_at_ - queued_at_;
+        if (nested_) {
+          o->structLeg(op_, cat_, st.obsTrack(o), "service", queued_at_,
+                       wait);
+        } else {
+          o->leg(op_, cat_, st.obsTrack(o), "service", queued_at_, wait);
+        }
+      }
+    }
+  }
+
+ private:
+  friend class QueueStation;
+
+  ExecAwaiter(QueueStation* st, Time service, obs::OpId op, obs::Cat cat,
+              bool nested) noexcept
+      : st_(st), service_(service), op_(op), cat_(cat), nested_(nested) {}
+
+  /// The server is ours: account the queue wait and end the service at
+  /// now + service by resuming the caller then.
+  void granted() {
+    QueueStation& st = *st_;
+    acquired_at_ = st.sim_->now();
+    st.wait_ns_ += acquired_at_ - queued_at_;
+    if (st.sim_->observer() != nullptr) {
+      st.wait_hist_.add(acquired_at_ - queued_at_);
+    }
+    st.sim_->scheduleAt(acquired_at_ + service_, caller_);
+  }
+
+  QueueStation* st_;
+  Time service_;
+  obs::OpId op_;
+  obs::Cat cat_;
+  bool nested_;
+  Time queued_at_ = 0;
+  Time acquired_at_ = 0;
+  std::coroutine_handle<> caller_;
+};
+
+inline QueueStation::ExecAwaiter QueueStation::exec(Time service,
+                                                    obs::OpId op,
+                                                    obs::Cat cat,
+                                                    bool nested) {
+  return ExecAwaiter(this, service, op, cat, nested);
+}
+
+inline detail::Root QueueStation::park(ExecAwaiter* a) {
+  co_await a->st_->sem_.acquire();
+  a->granted();
+}
 
 }  // namespace daosim::sim

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <exception>
 #include <utility>
-#include <vector>
 
 #include "sim/event_queue.h"
 #include "sim/pool.h"
@@ -37,6 +36,52 @@ class Simulation;
 
 namespace detail {
 
+/// A suspended coroutine queued on a wait list. The node lives in the
+/// awaiter of the coroutine it names, and an awaiter stays in its
+/// coroutine's frame for as long as that coroutine is suspended, so
+/// queueing a waiter allocates nothing.
+struct WaitNode {
+  std::coroutine_handle<> h;
+  WaitNode* next = nullptr;
+};
+
+/// Intrusive FIFO of WaitNodes (semaphore, join and event waiter queues).
+class WaitList {
+ public:
+  bool empty() const noexcept { return head_ == nullptr; }
+  std::size_t size() const noexcept { return size_; }
+
+  void push(WaitNode* n, std::coroutine_handle<> h) noexcept {
+    n->h = h;
+    n->next = nullptr;
+    if (tail_ != nullptr) {
+      tail_->next = n;
+    } else {
+      head_ = n;
+    }
+    tail_ = n;
+    ++size_;
+  }
+
+  /// Unlinks the oldest waiter and returns its handle (list non-empty).
+  std::coroutine_handle<> pop() noexcept {
+    WaitNode* n = head_;
+    head_ = n->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    --size_;
+    return n->h;
+  }
+
+  /// Schedules every waiter at the current time, oldest first, and empties
+  /// the list (defined after Simulation below).
+  void scheduleAll(Simulation& sim);
+
+ private:
+  WaitNode* head_ = nullptr;
+  WaitNode* tail_ = nullptr;
+  std::size_t size_ = 0;
+};
+
 /// Shared completion state of a spawned process. Intrusively refcounted and
 /// pool-allocated so spawning is allocation-free in steady state; a
 /// Simulation and all its handles live on one thread, so the count is plain.
@@ -50,7 +95,7 @@ struct JoinState {
   std::uint32_t refs = 1;  // the creating JoinRef adopts this count
   bool done = false;
   std::exception_ptr error;
-  std::vector<std::coroutine_handle<>> waiters;
+  WaitList waiters;
 
   void complete(std::exception_ptr e);
 };
@@ -123,17 +168,18 @@ class ProcHandle {
   auto join() const noexcept {
     struct Awaiter {
       detail::JoinState* state;
+      detail::WaitNode node;
 
       bool await_ready() const noexcept { return state->done; }
-      void await_suspend(std::coroutine_handle<> h) const {
-        state->waiters.push_back(h);
+      void await_suspend(std::coroutine_handle<> h) noexcept {
+        state->waiters.push(&node, h);
       }
       void await_resume() const {
         if (state->error) std::rethrow_exception(state->error);
       }
     };
     assert(state_ && "joining an empty process handle");
-    return Awaiter{state_.get()};
+    return Awaiter{state_.get(), {}};
   }
 
  private:
@@ -258,5 +304,15 @@ class Simulation {
   obs::Telemetry* telemetry_ = nullptr;
   Time telemetry_due_ = kNever;
 };
+
+inline void detail::WaitList::scheduleAll(Simulation& sim) {
+  // Scheduling never resumes inline, so every node stays valid until the
+  // list is cleared.
+  for (WaitNode* n = head_; n != nullptr; n = n->next) {
+    sim.scheduleAt(sim.now(), n->h);
+  }
+  head_ = tail_ = nullptr;
+  size_ = 0;
+}
 
 }  // namespace daosim::sim

@@ -5,13 +5,13 @@
 // deterministic and bounds native stack depth. Semaphore uses hand-off
 // semantics: release() grants the permit directly to the oldest waiter, so
 // queueing is strictly fair (no barging) — important for the queueing-station
-// models built on top of it.
+// models built on top of it. Waiter queues are intrusive FIFO lists whose
+// nodes live in the suspended awaiters, so blocking allocates nothing.
 #pragma once
 
 #include <cassert>
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "sim/simulation.h"
@@ -33,26 +33,26 @@ class Event {
   void set() {
     if (set_) return;
     set_ = true;
-    for (auto h : waiters_) sim_->scheduleAt(sim_->now(), h);
-    waiters_.clear();
+    waiters_.scheduleAll(*sim_);
   }
 
   auto wait() noexcept {
     struct Awaiter {
       Event* ev;
+      detail::WaitNode node;
       bool await_ready() const noexcept { return ev->set_; }
-      void await_suspend(std::coroutine_handle<> h) const {
-        ev->waiters_.push_back(h);
+      void await_suspend(std::coroutine_handle<> h) noexcept {
+        ev->waiters_.push(&node, h);
       }
       void await_resume() const noexcept {}
     };
-    return Awaiter{this};
+    return Awaiter{this, {}};
   }
 
  private:
   Simulation* sim_;
   bool set_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
+  detail::WaitList waiters_;
 };
 
 /// Counting semaphore with FIFO hand-off.
@@ -69,30 +69,34 @@ class Semaphore {
   std::int64_t available() const noexcept { return count_; }
   std::size_t waiting() const noexcept { return waiters_.size(); }
 
+  /// Takes a permit if one is free, without suspending. A free permit
+  /// implies an empty queue (release() hands permits to waiters first), so
+  /// this never barges.
+  bool tryAcquire() noexcept {
+    if (count_ > 0) {
+      --count_;
+      return true;
+    }
+    return false;
+  }
+
   auto acquire() noexcept {
     struct Awaiter {
       Semaphore* sem;
-      bool await_ready() const noexcept {
-        if (sem->count_ > 0) {
-          --sem->count_;
-          return true;
-        }
-        return false;
-      }
-      void await_suspend(std::coroutine_handle<> h) const {
-        sem->waiters_.push_back(h);
+      detail::WaitNode node;
+      bool await_ready() noexcept { return sem->tryAcquire(); }
+      void await_suspend(std::coroutine_handle<> h) noexcept {
+        sem->waiters_.push(&node, h);
       }
       void await_resume() const noexcept {}
     };
-    return Awaiter{this};
+    return Awaiter{this, {}};
   }
 
   /// Returns a permit; if a coroutine is queued, hands it over directly.
   void release() {
     if (!waiters_.empty()) {
-      auto h = waiters_.front();
-      waiters_.pop_front();
-      sim_->scheduleAt(sim_->now(), h);
+      sim_->scheduleAt(sim_->now(), waiters_.pop());
     } else {
       ++count_;
     }
@@ -101,7 +105,7 @@ class Semaphore {
  private:
   Simulation* sim_;
   std::int64_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  detail::WaitList waiters_;
 };
 
 class Mutex;
@@ -177,21 +181,21 @@ class Barrier {
   auto arriveAndWait() noexcept {
     struct Awaiter {
       Barrier* b;
+      detail::WaitNode node;
       bool await_ready() const noexcept { return b->parties_ == 1; }
-      bool await_suspend(std::coroutine_handle<> h) const {
+      bool await_suspend(std::coroutine_handle<> h) {
         if (b->waiters_.size() + 1 == b->parties_) {
           // Last arrival releases everyone; it does not suspend.
-          for (auto w : b->waiters_) b->sim_->scheduleAt(b->sim_->now(), w);
-          b->waiters_.clear();
+          b->waiters_.scheduleAll(*b->sim_);
           ++b->generation_;
           return false;
         }
-        b->waiters_.push_back(h);
+        b->waiters_.push(&node, h);
         return true;
       }
       void await_resume() const noexcept {}
     };
-    return Awaiter{this};
+    return Awaiter{this, {}};
   }
 
   std::uint64_t generation() const noexcept { return generation_; }
@@ -200,7 +204,7 @@ class Barrier {
   Simulation* sim_;
   std::size_t parties_;
   std::uint64_t generation_ = 0;
-  std::vector<std::coroutine_handle<>> waiters_;
+  detail::WaitList waiters_;
 };
 
 /// Runs tasks concurrently and completes when all finish. If any task fails,

@@ -3,14 +3,19 @@
 // checks against the paper's §III-A raw measurements.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "hw/cluster.h"
 #include "hw/device.h"
 #include "hw/spec.h"
 #include "net/rpc.h"
+#include "sim/pool.h"
 #include "sim/simulation.h"
 #include "sim/sync.h"
+#include "reference_models.h"
 
 namespace daosim {
 namespace {
@@ -282,6 +287,136 @@ TEST(Cluster, LoopbackSkipsNic) {
   sim.run();
   EXPECT_LT(sim.now(), 10_us);
   EXPECT_EQ(cluster.node(a).tx().ops(), 0u);
+}
+
+// --- Cluster::send: the reference spawn-and-join schedule ---------------
+
+struct SendResult {
+  Time at;
+  int id;
+  bool failed;
+  bool operator==(const SendResult&) const = default;
+};
+
+// One sender's plan: (think time, destination, bytes) per message.
+using SendPlan = std::vector<std::tuple<Time, int, std::uint64_t>>;
+
+template <typename Net>
+Task<void> sender(sim::Simulation* s, Net* net, int src, const SendPlan* plan,
+                  int id, std::vector<SendResult>* log) {
+  for (const auto& [think, dst, bytes] : *plan) {
+    co_await s->delay(think);
+    bool failed = false;
+    try {
+      co_await net->send(src, dst, bytes);
+    } catch (const hw::NetworkDown&) {
+      failed = true;
+    }
+    log->push_back(SendResult{s->now(), id, failed});
+  }
+}
+
+template <typename Net>
+Task<void> flap(sim::Simulation* s, Net* net, int node, Time down_at,
+                Time up_at) {
+  co_await s->delay(down_at);
+  net->setLinkDown(node, true);
+  co_await s->delay(up_at - down_at);
+  net->setLinkDown(node, false);
+}
+
+TEST(Cluster, SerialSendMatchesSpawnAndJoinSchedule) {
+  constexpr int kNodes = 5;
+  std::mt19937_64 rng(7);
+  const std::uint64_t sizes[] = {0, 4 * kKiB, 64 * kKiB, kMiB};
+  std::vector<SendPlan> plans(32);
+  for (SendPlan& p : plans) {
+    for (int m = 0; m < 8; ++m) {
+      // Think times on a 1us grid make same-nanosecond sends, arrivals
+      // and completions common; dst may equal src (loopback).
+      p.emplace_back(static_cast<Time>(rng() % 4) * 1_us,
+                     static_cast<int>(rng() % kNodes), sizes[rng() % 4]);
+    }
+  }
+  sim::Simulation sa, sb;
+  hw::Cluster cluster(sa);
+  for (int i = 0; i < kNodes; ++i) cluster.addNode(hw::NodeSpec::client());
+  ref::Network net(sb, kNodes);
+  std::vector<SendResult> la, lb;
+  // Node 2's link flaps while traffic is in flight.
+  sa.spawn(flap(&sa, &cluster, 2, 300_us, 900_us));
+  sb.spawn(flap(&sb, &net, 2, 300_us, 900_us));
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    const int id = static_cast<int>(i);
+    const int src = id % kNodes;
+    sa.spawn(sender(&sa, &cluster, src, &plans[i], id, &la));
+    sb.spawn(sender(&sb, &net, src, &plans[i], id, &lb));
+  }
+  for (;;) {
+    const bool a = ref::stepOne(sa);
+    ASSERT_EQ(a, ref::stepOne(sb));
+    if (!a) break;
+    ASSERT_EQ(sa.now(), sb.now());
+    for (int n = 0; n < kNodes; ++n) {
+      ASSERT_EQ(cluster.node(n).tx().queueLength(), net.tx(n).queueLength())
+          << "node " << n << " at t=" << sa.now();
+      ASSERT_EQ(cluster.node(n).rx().queueLength(), net.rx(n).queueLength())
+          << "node " << n << " at t=" << sa.now();
+    }
+  }
+  EXPECT_EQ(la, lb);
+  EXPECT_EQ(sa.processedEvents(), sb.processedEvents());
+  EXPECT_EQ(cluster.messages(), net.messages());
+  EXPECT_EQ(cluster.sendFailures(), net.sendFailures());
+  EXPECT_GT(cluster.sendFailures(), 0u) << "the flap never hit a send";
+  for (int n = 0; n < kNodes; ++n) {
+    for (auto [st, rs] : {std::pair{&cluster.node(n).tx(), &net.tx(n)},
+                          std::pair{&cluster.node(n).rx(), &net.rx(n)}}) {
+      EXPECT_EQ(st->ops(), rs->ops()) << st->name();
+      EXPECT_EQ(st->busyTime(), rs->busyTime()) << st->name();
+      EXPECT_EQ(st->totalWait(), rs->totalWait()) << st->name();
+    }
+  }
+}
+
+// --- Frame traffic of the send and NVMe hot paths ------------------------
+
+// Pool blocks allocated by `n` back-to-back awaits of `kind` (0: a
+// Cluster::send, 1: net::request, 2: a sendWithRetry with a disabled
+// policy, 3: an NVMe write), measured inside the sending coroutine.
+std::uint64_t steadyStateAllocs(int kind, int n) {
+  sim::Simulation sim;
+  hw::Cluster cluster(sim);
+  auto a = cluster.addNode(hw::NodeSpec::client());
+  auto b = cluster.addNode(hw::NodeSpec::server(1));
+  std::uint64_t allocs = ~std::uint64_t{0};
+  sim.spawn([](hw::Cluster* c, hw::NodeId a, hw::NodeId b, int kind, int n,
+               std::uint64_t* out) -> Task<void> {
+    const auto before = sim::detail::FramePool::threadStats().allocs;
+    for (int i = 0; i < n; ++i) {
+      switch (kind) {
+        case 0: co_await c->send(a, b, 4 * kKiB); break;
+        case 1: co_await net::request(*c, a, b, 4 * kKiB); break;
+        case 2:
+          co_await net::request(*c, a, b, 4 * kKiB, net::RetryPolicy{});
+          break;
+        default: co_await c->node(b).drive(0).write(4 * kKiB); break;
+      }
+    }
+    *out = sim::detail::FramePool::threadStats().allocs - before;
+  }(&cluster, a, b, kind, n, &allocs));
+  sim.run();
+  return allocs;
+}
+
+TEST(FramePool, SerialSendAllocatesTwoFrames) {
+  EXPECT_EQ(steadyStateAllocs(0, 50), 100u);
+  EXPECT_EQ(steadyStateAllocs(1, 50), 100u);
+  EXPECT_EQ(steadyStateAllocs(2, 50), 100u);
+}
+
+TEST(FramePool, NvmeWriteAllocatesNothing) {
+  EXPECT_EQ(steadyStateAllocs(3, 50), 0u);
 }
 
 TEST(Rpc, RoundTripLatency) {

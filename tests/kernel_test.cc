@@ -25,10 +25,12 @@
 #include "sim/event_queue.h"
 #include "sim/parallel.h"
 #include "sim/pool.h"
+#include "sim/queue_station.h"
 #include "sim/shard.h"
 #include "sim/simulation.h"
 #include "sim/task.h"
 #include "sim/time.h"
+#include "reference_models.h"
 
 namespace daosim {
 namespace {
@@ -380,6 +382,119 @@ TEST(ProcHandle, CopiesShareStateAndOutliveTheProcess) {
   }(b, joined));
   simu.run();
   EXPECT_TRUE(joined);
+}
+
+// --- QueueStation::exec: the reference station's exact schedule ----------
+
+// One customer's plan: (think time before the request, service time).
+using Plan = std::vector<std::pair<Time, Time>>;
+
+struct Resume {
+  Time at;
+  int id;
+  bool operator==(const Resume&) const = default;
+};
+
+template <typename Station>
+Task<void> customer(Simulation* s, Station* st, const Plan* plan, int id,
+                    std::vector<Resume>* log) {
+  for (const auto& [think, service] : *plan) {
+    co_await s->delay(think);
+    co_await st->exec(service);
+    log->push_back(Resume{s->now(), id});
+  }
+}
+
+// Drives QueueStation and ref::Station with the same randomized arrivals,
+// one event at a time, and requires the same time and queue length after
+// every event, then the same resumption trace and statistics. Think times
+// are multiples of 100 ns and services of 50 ns, so many arrivals,
+// hand-offs and completions share a nanosecond.
+void expectSameStationSchedule(std::uint64_t rng_seed, int servers) {
+  std::mt19937_64 rng(rng_seed);
+  std::vector<Plan> plans(48);
+  for (Plan& p : plans) {
+    for (int r = 0; r < 6; ++r) {
+      p.emplace_back(static_cast<Time>(rng() % 4) * 100,
+                     static_cast<Time>(1 + rng() % 4) * 50);
+    }
+  }
+  Simulation sa, sb;
+  sim::QueueStation st(sa, "st", servers);
+  ref::Station rst(sb, servers);
+  std::vector<Resume> la, lb;
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    const int id = static_cast<int>(i);
+    sa.spawn(customer(&sa, &st, &plans[i], id, &la));
+    sb.spawn(customer(&sb, &rst, &plans[i], id, &lb));
+  }
+  std::size_t max_queue = 0;
+  for (;;) {
+    const bool a = ref::stepOne(sa);
+    ASSERT_EQ(a, ref::stepOne(sb));
+    if (!a) break;
+    ASSERT_EQ(sa.now(), sb.now());
+    ASSERT_EQ(st.queueLength(), rst.queueLength()) << "at t=" << sa.now();
+    max_queue = std::max(max_queue, st.queueLength());
+  }
+  EXPECT_GT(max_queue, 2u) << "the schedule never contended";
+  EXPECT_EQ(la, lb);
+  EXPECT_EQ(sa.processedEvents(), sb.processedEvents());
+  EXPECT_EQ(st.ops(), rst.ops());
+  EXPECT_EQ(st.busyTime(), rst.busyTime());
+  EXPECT_EQ(st.totalWait(), rst.totalWait());
+}
+
+TEST(QueueStation, ExecMatchesCoroutineBodyScheduleOneServer) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    expectSameStationSchedule(seed, 1);
+  }
+}
+
+TEST(QueueStation, ExecMatchesCoroutineBodyScheduleThreeServers) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    expectSameStationSchedule(seed, 3);
+  }
+}
+
+// --- Frame traffic of the station hot path -------------------------------
+
+TEST(FramePool, UncontendedExecAllocatesNothing) {
+  Simulation simu;
+  sim::QueueStation st(simu, "st", 1);
+  std::uint64_t allocs = ~std::uint64_t{0};
+  simu.spawn([](sim::QueueStation* st, std::uint64_t* out) -> Task<void> {
+    const auto before = sim::detail::FramePool::threadStats().allocs;
+    for (int i = 0; i < 100; ++i) co_await st->exec(10);
+    *out = sim::detail::FramePool::threadStats().allocs - before;
+  }(&st, &allocs));
+  simu.run();
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(st.ops(), 100u);
+}
+
+TEST(FramePool, ContendedExecParksOneWaiterFrame) {
+  // Four customers arrive at once on one server: three wait, each parked
+  // by one self-destroying waiter frame.
+  Simulation simu;
+  sim::QueueStation st(simu, "st", 1);
+  std::vector<std::uint64_t> spawn_allocs;
+  for (int i = 0; i < 4; ++i) {
+    const auto before = sim::detail::FramePool::threadStats().allocs;
+    simu.spawn([](sim::QueueStation* st) -> Task<void> {
+      co_await st->exec(10);
+    }(&st));
+    spawn_allocs.push_back(sim::detail::FramePool::threadStats().allocs -
+                           before);
+  }
+  EXPECT_EQ(st.queueLength(), 3u);
+  for (int i = 1; i < 4; ++i) EXPECT_EQ(spawn_allocs[i], spawn_allocs[0] + 1);
+  const auto before = sim::detail::FramePool::threadStats().allocs;
+  simu.run();
+  EXPECT_EQ(sim::detail::FramePool::threadStats().allocs - before, 0u)
+      << "waiters are parked at arrival, not at hand-off";
+  EXPECT_EQ(simu.now(), 40u);
+  EXPECT_EQ(st.totalWait(), 10u + 20u + 30u);
 }
 
 // --- Serial vs parallel sweep determinism --------------------------------

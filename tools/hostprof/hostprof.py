@@ -4,6 +4,7 @@
     hostprof.py run --lib build/tools/hostprof/libhostprof.so \\
         --out prof.txt [--top N] -- ./build/tools/daosim_run --bench ior ...
     hostprof.py report prof.txt [--top N] [--by-caller] [--annotate FUNC]
+        [--group NAME=REGEX ...]
 
 `run` profiles one command (its children are not profiled) and then
 reports. The report lists functions by self share (samples whose
@@ -15,6 +16,9 @@ from `nm -C` on each mapped file, so build with symbols (RelWithDebInfo).
 symbol table (libc's `[libc.so.6]`, `malloc`, `free`, ...) to their first
 caller that has one. --annotate FUNC lists the hottest instruction
 addresses inside FUNC as the link-time addresses `objdump -d` prints.
+--group NAME=REGEX (repeatable) sums the self-by-caller share of every
+function whose name matches REGEX, as a share of all samples and of the
+samples outside perfbench's host-speed calibration loop.
 """
 
 import argparse
@@ -210,21 +214,39 @@ def annotate(samples, resolve, func, top, out):
             print(f"{where:>18}  {off:>8}  {100.0 * k / n:5.1f}%", file=out)
 
 
-def report(path, top, by_caller=False, func=None, out=sys.stdout):
+# Perfbench's host-speed calibration loop (perfbench/src/main.cc): samples
+# under it are excluded from the "non-calibration" group shares.
+CALIBRATION = re.compile(r"^perfbench::.*\bcalibrate$")
+
+
+def parse_group(spec):
+    name, sep, regex = spec.partition("=")
+    if not sep or not name or not regex:
+        raise argparse.ArgumentTypeError(f"expected NAME=REGEX, got {spec!r}")
+    try:
+        return name, re.compile(regex)
+    except re.error as e:
+        raise argparse.ArgumentTypeError(f"bad regex {regex!r}: {e}")
+
+
+def report(path, top, by_caller=False, func=None, groups=(), out=sys.stdout):
     samples, maps, dropped = parse_profile(path)
     if not samples:
         sys.exit(f"hostprof: {path}: no samples")
     sym = Symbolizer(maps)
     self_n, incl_n = collections.Counter(), collections.Counter()
+    # Self-by-caller counts over all samples and outside calibration.
+    caller_n, caller_noncal_n = collections.Counter(), collections.Counter()
     for frames in samples:
         # Callers are return addresses; step back into the call instruction.
         stack = ([sym.resolve(frames[0])] +
                  [sym.resolve(a - 1) for a in frames[1:]])
-        leaf = stack[0]
-        if by_caller:
-            leaf = next((f for f in stack if f.full), leaf)
-        self_n[leaf.name] += 1
+        caller = next((f for f in stack if f.full), stack[0])
+        self_n[(caller if by_caller else stack[0]).name] += 1
         incl_n.update({f.name for f in stack})
+        caller_n[caller.name] += 1
+        if not any(CALIBRATION.search(f.name) for f in stack):
+            caller_noncal_n[caller.name] += 1
     total = len(samples)
     print(f"{total} samples ({dropped} dropped)", file=out)
     self_title = "self by caller" if by_caller else "self"
@@ -232,6 +254,16 @@ def report(path, top, by_caller=False, func=None, out=sys.stdout):
         print(f"\n{title:>9}  function", file=out)
         for name, n in counts.most_common(top):
             print(f"{100.0 * n / total:8.1f}%  {name[:160]}", file=out)
+    if groups:
+        noncal = sum(caller_noncal_n.values())
+        print(f"\n{'all':>9}  {'non-cal':>9}  group (self by caller; "
+              f"{noncal} samples outside calibration)", file=out)
+        for name, regex in groups:
+            n = sum(k for f, k in caller_n.items() if regex.search(f))
+            m = sum(k for f, k in caller_noncal_n.items() if regex.search(f))
+            print(f"{100.0 * n / total:8.1f}%  "
+                  f"{100.0 * m / max(noncal, 1):8.1f}%  {name}  "
+                  f"/{regex.pattern}/", file=out)
     if func is not None:
         annotate(samples, sym.resolve, func, top, out)
 
@@ -246,6 +278,10 @@ def main():
                            "symbol table to their first caller that has one")
     opts.add_argument("--annotate", metavar="FUNC",
                       help="list the hottest instruction addresses in FUNC")
+    opts.add_argument("--group", metavar="NAME=REGEX", action="append",
+                      type=parse_group, default=[],
+                      help="sum the self-by-caller share of functions "
+                           "matching REGEX (repeatable)")
     rp = sub.add_parser("report", parents=[opts],
                         help="report a profile file")
     rp.add_argument("profile")
@@ -267,9 +303,10 @@ def main():
                    HOSTPROF_OUT=os.path.abspath(args.out), ASAN_OPTIONS=asan)
         if subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode:
             sys.exit(f"hostprof: command failed: {' '.join(cmd)}")
-        report(args.out, args.top, args.by_caller, args.annotate)
+        report(args.out, args.top, args.by_caller, args.annotate, args.group)
     else:
-        report(args.profile, args.top, args.by_caller, args.annotate)
+        report(args.profile, args.top, args.by_caller, args.annotate,
+               args.group)
 
 
 if __name__ == "__main__":
