@@ -8,7 +8,7 @@
 // ~4 servers (serialized adaptor metadata). The 32/48/64-server points
 // extend past the paper's measured range. Every point runs on the serial
 // kernel; sweep points and repetitions run concurrently under DAOSIM_JOBS
-// (sim::ParallelRunner), which is faster here than intra-run sharding.
+// (sim::ParallelRunner).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>

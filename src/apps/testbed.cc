@@ -1,17 +1,15 @@
 #include "apps/testbed.h"
 
-#include <stdexcept>
+#include <exception>
 #include <string>
 
 namespace daosim::apps {
 
 namespace {
 
-sim::Task<void> daosSetup(DaosTestbed* tb, daos::Client* admin,
-                          daos::Container* cont,
+sim::Task<void> daosSetup(daos::Client* admin, daos::Container* cont,
                           std::optional<dfs::FileSystem>* dfs_out,
                           dfs::DfsConfig dfs_config) {
-  (void)tb;
   co_await admin->poolConnect();
   *cont = co_await admin->contCreate("bench");
   dfs_out->emplace(
@@ -21,53 +19,18 @@ sim::Task<void> daosSetup(DaosTestbed* tb, daos::Client* admin,
 
 }  // namespace
 
-DaosTestbed::DaosTestbed(Options opt) : seed_(opt.seed) {
+DaosTestbed::DaosTestbed(Options opt)
+    : sim_(opt.seed), cluster_(sim_), seed_(opt.seed) {
   opt.daos.retain_data = opt.retain_data;
-  if (opt.sim_jobs >= 1) {
-    if (opt.with_dfuse) {
-      throw std::invalid_argument(
-          "DaosTestbed: DFUSE daemons require the serial kernel "
-          "(with_dfuse = false when sim_jobs >= 1)");
-    }
-    sim::ShardGroup::Options go;
-    go.shards = opt.sim_jobs;
-    go.lookahead = hw::FabricSpec{}.latency;
-    go.seed = opt.seed;
-    group_ = std::make_unique<sim::ShardGroup>(go);
-    cluster_ = std::make_unique<hw::Cluster>(*group_);
-  } else {
-    serial_sim_ = std::make_unique<sim::Simulation>(opt.seed);
-    cluster_ = std::make_unique<hw::Cluster>(*serial_sim_);
-  }
-  // Node ids are identical in both modes (servers first, then clients);
-  // sharding only changes which event queue owns each node. Round-robin
-  // placement spreads servers and clients alike, so every shard advances
-  // through comparable work each window.
-  const int shards = group_ ? group_->shards() : 1;
-  auto place = [&](const hw::NodeSpec& spec, int count) {
-    std::vector<hw::NodeId> ids;
-    ids.reserve(static_cast<std::size_t>(count));
-    for (int i = 0; i < count; ++i) {
-      const int shard =
-          static_cast<int>(cluster_->nodeCount()) % shards;
-      ids.push_back(cluster_->addNode(spec, shard));
-    }
-    return ids;
-  };
-  servers_ = place(hw::NodeSpec::server(), opt.server_nodes);
-  clients_ = place(hw::NodeSpec::client(), opt.client_nodes);
-  daos_ = std::make_unique<daos::DaosSystem>(*cluster_, servers_, opt.daos);
+  servers_ = cluster_.addNodes(hw::NodeSpec::server(), opt.server_nodes);
+  clients_ = cluster_.addNodes(hw::NodeSpec::client(), opt.client_nodes);
+  daos_ = std::make_unique<daos::DaosSystem>(cluster_, servers_, opt.daos);
   admin_ = std::make_unique<daos::Client>(
       *daos_, clients_.front(),
       static_cast<std::uint32_t>(1 + (opt.seed << 8)));
 
-  // Setup runs on the admin client's home simulation — the one global
-  // simulation serially (byte-identical to the pre-sharding spawn), the
-  // admin node's shard when sharded.
-  auto h = cluster_->node(clients_.front())
-               .sim()
-               .spawn(daosSetup(this, admin_.get(), &cont_, &dfs_, opt.dfs));
-  run();
+  auto h = sim_.spawn(daosSetup(admin_.get(), &cont_, &dfs_, opt.dfs));
+  sim_.run();
   if (h.failed()) std::rethrow_exception(h.error());
 
   if (opt.with_dfuse) {

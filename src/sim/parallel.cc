@@ -15,14 +15,6 @@ int envSweepJobs() {
   return jobs > 0 ? jobs : 1;
 }
 
-int envSimJobs() {
-  int jobs = 0;
-  if (const char* v = std::getenv("DAOSIM_SIM_JOBS")) {
-    jobs = std::atoi(v);
-  }
-  return jobs > 0 ? jobs : 1;
-}
-
 ParallelRunner::ParallelRunner(int jobs) : jobs_(jobs > 0 ? jobs : 1) {
   if (jobs_ > 1) {
     workers_.reserve(static_cast<std::size_t>(jobs_));

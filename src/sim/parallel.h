@@ -16,10 +16,8 @@
 // error in submission-index order; callers holding raw futures can fall
 // back to firstError().
 //
-// Two distinct parallelism knobs exist in the simulator; this one is
-// *sweep-level* (whole independent simulations). Intra-run parallelism —
-// sharding one simulation's event queue across threads — is sim::ShardGroup
-// (sim/shard.h), selected by --sim-jobs / DAOSIM_SIM_JOBS.
+// This is the simulator's only parallelism: whole independent simulations
+// run concurrently, each on the serial kernel.
 //
 // DAOSIM_JOBS selects the sweep worker count (default: hardware
 // concurrency; 1 restores fully serial, inline execution with no threads).
@@ -44,10 +42,6 @@ namespace daosim::sim {
 /// DAOSIM_JOBS (sweep cells), clamped to >= 1; unset or 0 means hardware
 /// concurrency.
 int envSweepJobs();
-
-/// DAOSIM_SIM_JOBS (event-queue shards within one run), clamped to >= 1;
-/// unset or 0 means 1 — the serial kernel, which stays the default.
-int envSimJobs();
 
 /// Carried by the futures of jobs skipped after an earlier job failed; the
 /// originating error is ParallelRunner::firstError().

@@ -120,10 +120,14 @@ TEST(Simulation, RunUntilStopsAtDeadline) {
 
 TEST(Simulation, EventBudgetThrows) {
   Simulation sim;
-  sim.spawn([](Simulation& s) -> Task<void> {
-    for (;;) co_await s.yield();
-  }(sim));
+  bool stop = false;
+  sim.spawn([](Simulation& s, const bool& stop) -> Task<void> {
+    while (!stop) co_await s.yield();
+  }(sim, stop));
   EXPECT_THROW(sim.run(1000), std::runtime_error);
+  // Let the livelocked process finish so its frames are freed.
+  stop = true;
+  sim.run();
 }
 
 TEST(Event, WakesAllWaiters) {

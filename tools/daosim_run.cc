@@ -19,25 +19,21 @@
 //
 // The --api names come from the io::Backend registry (see io/backend.h);
 // --system is inferred from --api when omitted, and vice versa.
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <type_traits>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/fault_injector.h"
 #include "apps/fdb.h"
 #include "apps/fieldio.h"
 #include "apps/ior.h"
-#include "apps/pdes.h"
 #include "apps/runner.h"
 #include "apps/stats_report.h"
 #include "apps/sweep.h"
@@ -64,8 +60,7 @@ struct Options {
   std::uint64_t ops = 0;  // 0 = auto-scale
   std::uint64_t transfer = 1 << 20;
   int reps = 3;
-  int jobs = 0;      // 0 = DAOSIM_JOBS / hardware concurrency (sweep cells)
-  int sim_jobs = -1;  // -1 = DAOSIM_SIM_JOBS / 1; 0 and 1 = serial kernel
+  int jobs = 0;  // 0 = DAOSIM_JOBS / hardware concurrency (sweep cells)
   std::uint64_t seed = 1;
   int pgs = 1024;
   int replicas = 1;
@@ -93,11 +88,11 @@ struct Options {
   }
   std::fprintf(
       stderr,
-      "usage: %s [--system daos|lustre|ceph] [--bench ior|fieldio|fdb|pdes]\n"
+      "usage: %s [--system daos|lustre|ceph] [--bench ior|fieldio|fdb]\n"
       "          [--api %s]\n"
       "          [--servers N] [--clients N] [--ppn N] [--ops N]\n"
       "          [--transfer BYTES] [--oclass S1|...|SX|RP_2GX|EC_2P1GX]\n"
-      "          [--reps N] [--jobs N] [--sim-jobs N] [--seed N]\n"
+      "          [--reps N] [--jobs N] [--seed N]\n"
       "          [--pgs N] [--replicas N]\n"
       "          [--queue-depth N] [--shared] [--async-index] [--stats]\n"
       "          [--write-only | --read-only]\n"
@@ -110,38 +105,10 @@ struct Options {
       "flight per process (1 = sequential issue, the paper's setup).\n"
       "--write-only / --read-only run just that IOR phase (reads hit the\n"
       "timing model whether or not data was written first).\n"
-      "Parallelism: two independent knobs. --jobs (or DAOSIM_JOBS) runs\n"
-      "repetitions (sweep cells) concurrently on a worker pool; results are\n"
-      "identical to --jobs 1 for a fixed --seed because every repetition is\n"
-      "a self-contained simulation. --sim-jobs N (or DAOSIM_SIM_JOBS)\n"
-      "shards ONE simulation's event queue across N worker threads with\n"
-      "conservative lookahead; 0 and 1 (the default) both mean the serial\n"
-      "kernel, bit-identical to builds before sharding existed, and any\n"
-      "fixed N >= 2 is deterministic — N=2 and N=4 print identical\n"
-      "results. --jobs x --sim-jobs threads must fit the machine.\n"
-      "--sim-jobs compatibility matrix (N > 1):\n"
-      "  supported:   --system daos with --api daos-array|dfs|hdf5-daos\n"
-      "               (aliases included) and --bench ior|fieldio|fdb; also\n"
-      "               --bench pdes; --faults, --shared, --queue-depth and\n"
-      "               --stats (which adds a 'result digest' line);\n"
-      "               --trace, --metrics, --telemetry and --exemplars\n"
-      "               (per-shard collection, merged deterministically —\n"
-      "               exporter bytes are identical for every N, and\n"
-      "               --telemetry adds a pdes/* engine-introspection\n"
-      "               subtree); --rpc-timeout must be 0 or >= 2x the\n"
-      "               fabric latency (16us) so a deadline cannot expire\n"
-      "               inside one shard synchronization window.\n"
-      "  serial-only: --system lustre|ceph; --api dfuse|dfuse-il|hdf5|\n"
-      "               lustre-posix|rados (FUSE daemons and foreign stacks\n"
-      "               share one simulation); --faults combined with\n"
-      "               --telemetry (the faults/* probes sample cross-shard\n"
-      "               fault state). Each conflict is reported naming the\n"
-      "               offending flag.\n"
-      "--bench pdes is a hardware-level object-store workload (clients ->\n"
-      "NIC -> per-server service queue -> NVMe -> response) built for\n"
-      "intra-run sharding; it takes --servers/--clients/--ppn/--ops/\n"
-      "--transfer/--write-only/--read-only but no --api/--system, and with\n"
-      "--stats prints shard-sync counters plus a result digest.\n"
+      "Parallelism: --jobs (or DAOSIM_JOBS) runs repetitions (sweep\n"
+      "cells) concurrently on a worker pool; results are identical to\n"
+      "--jobs 1 for a fixed --seed because every repetition is a\n"
+      "self-contained simulation on the serial kernel.\n"
       "Observability: --trace writes a Chrome-trace JSON (open in\n"
       "chrome://tracing or Perfetto) and --metrics a CSV (or JSON when the\n"
       "file ends in .json) of op latency histograms, both for the last\n"
@@ -247,9 +214,6 @@ Options parse(int argc, char** argv) {
       o.reps = std::atoi(value());
     } else if (arg == "--jobs") {
       o.jobs = std::atoi(value());
-    } else if (arg == "--sim-jobs") {
-      o.sim_jobs = std::atoi(value());
-      if (o.sim_jobs < 0) usage(argv[0]);
     } else if (arg == "--seed") {
       o.seed = std::strtoull(value(), nullptr, 10);
     } else if (arg == "--pgs") {
@@ -294,38 +258,6 @@ Options parse(int argc, char** argv) {
       o.queue_depth <= 0 || (o.read_only && o.write_only)) {
     usage(argv[0]);
   }
-  if (o.sim_jobs < 0) o.sim_jobs = sim::envSimJobs();  // explicit 0 = serial
-  if (o.jobs > 1 && o.sim_jobs > 1) {
-    // Both knobs explicit: refuse silent oversubscription. (When --jobs is
-    // omitted the pool below defaults to one worker instead.)
-    const unsigned hc = std::thread::hardware_concurrency();
-    const auto want = static_cast<unsigned long long>(o.jobs) *
-                      static_cast<unsigned long long>(o.sim_jobs);
-    if (hc != 0 && want > hc) {
-      throw std::invalid_argument(
-          "--jobs " + std::to_string(o.jobs) + " (concurrent repetitions) x "
-          "--sim-jobs " + std::to_string(o.sim_jobs) +
-          " (event-queue shards per run) = " + std::to_string(want) +
-          " worker threads, but this machine has " + std::to_string(hc) +
-          " cores; lower one of the two");
-    }
-  }
-  if (o.bench == "pdes") {
-    if (!o.api.empty() || !o.system.empty()) {
-      throw std::invalid_argument(
-          "--bench pdes runs directly on the hardware model; "
-          "--api/--system do not apply");
-    }
-    o.system = "hw";
-    if (!o.faults.empty() || !o.trace_file.empty() || o.exemplars > 0 ||
-        !o.metrics_file.empty() || !o.telemetry_file.empty()) {
-      throw std::invalid_argument(
-          "--bench pdes does not support --faults/--trace/--exemplars/"
-          "--metrics/--telemetry (those observers attach to a single "
-          "serial simulation)");
-    }
-    return o;  // no backend to resolve, and observer env fallbacks are moot
-  }
   resolveApiAndSystem(o);
   if (!o.faults.empty() && o.system != "daos") {
     throw std::invalid_argument("--faults requires --system daos");
@@ -344,38 +276,6 @@ Options parse(int argc, char** argv) {
   if (o.telemetry_file.empty()) o.telemetry_file = apps::telemetryEnvFile();
   if (o.telemetry_interval == 0) {
     o.telemetry_interval = apps::telemetryEnvInterval();
-  }
-  // --sim-jobs N > 1 compatibility gate. Every rejection names the
-  // specific conflicting flag; the full matrix is in --help. (Checked
-  // after the env fallbacks above so DAOSIM_TRACE & co. are caught too.)
-  if (o.sim_jobs > 1) {
-    auto reject = [](const std::string& flag, const std::string& why) {
-      throw std::invalid_argument(
-          "--sim-jobs > 1 is incompatible with " + flag + ": " + why +
-          ". Drop " + flag +
-          " or run on the serial kernel (--sim-jobs 1); see --help for "
-          "the compatibility matrix.");
-    };
-    if (o.system != "daos") {
-      reject("--system " + o.system,
-             "intra-run sharding deploys the DAOS testbed only; the "
-             "Lustre/Ceph stacks run on the serial kernel");
-    }
-    if (o.api != "daos-array" && o.api != "dfs" && o.api != "hdf5-daos") {
-      reject("--api " + o.api,
-             "sharded runs support the RPC-shaped DAOS backends "
-             "(daos-array, dfs, hdf5-daos); FUSE-daemon-backed APIs need "
-             "the serial kernel");
-    }
-    // --trace/--metrics/--telemetry/--exemplars are shard-aware: per-shard
-    // collection with a deterministic merge (obs::ObserverGroup,
-    // obs::Telemetry::mergeLanes) keeps every exporter's bytes identical
-    // across shard counts. One remaining conflict:
-    if (!o.faults.empty() && !o.telemetry_file.empty()) {
-      reject("--faults with --telemetry (or DAOSIM_TELEMETRY)",
-             "the fault injector's faults/* telemetry probes sample "
-             "cross-shard fault state and are serial-only");
-    }
   }
   return o;
 }
@@ -422,48 +322,19 @@ apps::RunResult runBench(const Options& o, Testbed& tb, bool stats,
                          obs::Observer* observer, const std::string& run_label,
                          apps::FaultInjector* injector = nullptr) {
   const sim::Time t0 = tb.sim().now();
-  // Sharded DAOS testbeds dispatch through the ShardGroup harness; all
-  // other testbeds (and serial DAOS ones) use the frozen serial harness.
-  sim::ShardGroup* sg = nullptr;
-  if constexpr (std::is_same_v<Testbed, apps::DaosTestbed>) {
-    sg = tb.shardGroup();
-  }
   // Scoped: the registry detaches and lands in TelemetryHub::global()
-  // (keyed by the deterministic rep label) before the testbed dies. A
-  // sharded run collects one raw-sample lane per shard instead and merges
-  // them under the same label (apps::ShardedRunTelemetry).
+  // (keyed by the deterministic rep label) before the testbed dies.
   apps::ScopedRunTelemetry telem(tb.sim(), run_label,
-                                 sg == nullptr && !o.telemetry_file.empty(),
+                                 !o.telemetry_file.empty(),
                                  o.telemetry_interval);
   if (telem.active()) apps::registerProbes(telem.telemetry(), tb);
   if (telem.active() && injector != nullptr) {
     injector->registerTelemetry(telem.telemetry());
   }
-  std::optional<apps::ShardedRunTelemetry> stelem;
-  if constexpr (std::is_same_v<Testbed, apps::DaosTestbed>) {
-    if (sg != nullptr && !o.telemetry_file.empty()) {
-      stelem.emplace(tb, run_label, true, o.telemetry_interval);
-    }
-  }
-  // Sharded runs observe through one lane per shard; the lanes journal and
-  // ObserverGroup::mergeInto rebuilds the serial-equivalent state in
-  // `observer` after the run (same exporter bytes for every shard count).
-  std::optional<obs::ObserverGroup> og;
-  if (observer != nullptr) {
-    if (sg != nullptr) {
-      og.emplace(*sg);
-    } else {
-      observer->attach(tb.sim());
-    }
-  }
+  if (observer != nullptr) observer->attach(tb.sim());
   if (injector != nullptr) injector->install();
   const auto run = [&](apps::SpmdBenchmark& bench) {
-    return sg != nullptr
-               ? apps::runSpmdSharded(tb.cluster(), *sg,
-                                      tb.clientSubset(o.clients), o.ppn,
-                                      tb.seed(), bench)
-               : apps::runSpmd(tb.sim(), tb.clientSubset(o.clients), o.ppn,
-                               bench);
+    return apps::runSpmd(tb.sim(), tb.clientSubset(o.clients), o.ppn, bench);
   };
   apps::RunResult r;
   if (o.bench == "ior") {
@@ -481,21 +352,6 @@ apps::RunResult runBench(const Options& o, Testbed& tb, bool stats,
   } else {
     throw std::invalid_argument("unknown --bench: " + o.bench);
   }
-  if (og.has_value()) {
-    // Deterministic merge: lanes detach, the journals are reconciled, and
-    // `observer` ends up in the exact state a serial observer of the same
-    // run would hold (enableTracing/enableExemplars on it apply).
-    og->mergeInto(*observer);
-    og.reset();
-  }
-  if (sg != nullptr && stelem.has_value()) stelem->noteShardStats(sg->stats());
-  if (stats && sg != nullptr) {
-    apps::reportShardSync(std::cout, sg->stats());
-    // Shard-count-invariant fingerprint (see apps::runDigest): CI compares
-    // this line across --sim-jobs values. The sync counters above are not
-    // invariant (per-shard tallies depend on the layout); the digest is.
-    std::printf("result digest %016" PRIx64 "\n", apps::runDigest(r));
-  }
   if (injector != nullptr) {
     injector->rethrowIfFailed();
     if (stats) injector->writeSummary(std::cout);
@@ -503,7 +359,7 @@ apps::RunResult runBench(const Options& o, Testbed& tb, bool stats,
   if (stats) apps::reportUtilization(std::cout, tb, tb.sim().now() - t0);
   if (observer != nullptr) {
     if (stats) observer->writeBreakdown(std::cout);
-    if (sg == nullptr) observer->detach();  // tb's sim dies with this scope
+    observer->detach();  // tb's sim dies with this scope
   }
   return r;
 }
@@ -531,20 +387,6 @@ apps::RunResult runDaos(const Options& o, std::uint64_t seed, bool stats,
     opt.daos.rpc_retry = net::RetryPolicy::chaosDefault();
     if (o.rpc_timeout > 0) opt.daos.rpc_retry.timeout = o.rpc_timeout;
     if (o.rpc_retries >= 0) opt.daos.rpc_retry.max_retries = o.rpc_retries;
-  }
-  if (o.sim_jobs > 1) {
-    opt.sim_jobs = o.sim_jobs;
-    opt.with_dfuse = false;  // FUSE daemons are serial-only (APIs gated)
-    const sim::Time min_timeout = 2 * hw::FabricSpec{}.latency;
-    if (opt.daos.rpc_retry.enabled() && opt.daos.rpc_retry.timeout > 0 &&
-        opt.daos.rpc_retry.timeout < min_timeout) {
-      throw std::invalid_argument(
-          "--rpc-timeout must be 0 (disabled) or >= " +
-          std::to_string(min_timeout) +
-          "ns (2x the fabric latency) when --sim-jobs > 1: a shorter "
-          "per-attempt deadline could expire inside one shard "
-          "synchronization window");
-    }
   }
   apps::DaosTestbed tb(opt);
   std::optional<apps::FaultInjector> injector;
@@ -592,46 +434,10 @@ void printSummary(const Options& o, const apps::Measurement& m) {
       static_cast<double>(m.read_lat.percentile(99)) / 1e3);
 }
 
-/// Sweep-pool width: --jobs when given; otherwise one worker while shards
-/// are engaged (so the thread count stays --sim-jobs), else DAOSIM_JOBS /
-/// hardware concurrency.
+/// Sweep-pool width: --jobs when given, else DAOSIM_JOBS / hardware
+/// concurrency.
 int sweepJobs(const Options& o) {
-  if (o.jobs > 0) return o.jobs;
-  if (o.sim_jobs > 1) return 1;
-  return sim::envSweepJobs();
-}
-
-int runPdesBench(const Options& o) {
-  apps::PdesOptions p;
-  p.server_nodes = o.servers;
-  p.client_nodes = o.clients;
-  p.procs_per_node = o.ppn;
-  p.ops = o.ops > 0 ? o.ops : 64;
-  p.transfer = o.transfer;
-  // CLI --sim-jobs 1 is the plain serial kernel (no ShardGroup at all);
-  // N > 1 engages a windowed group with N shards.
-  p.sim_jobs = o.sim_jobs <= 1 ? 0 : o.sim_jobs;
-  p.write_phase = !o.read_only;
-  p.read_phase = !o.write_only;
-  apps::Measurement m;
-  m.point = apps::SweepPoint{o.clients, o.ppn};
-  sim::ParallelRunner pool(sweepJobs(o));
-  auto results = pool.map(
-      static_cast<std::size_t>(o.reps),
-      [&](std::size_t rep) -> apps::RunResult {
-        apps::PdesOptions pr = p;
-        pr.seed = o.seed + static_cast<std::uint64_t>(rep);
-        apps::PdesResult r = apps::runPdes(pr);
-        // Shard-sync stats describe the last repetition, mirroring the
-        // testbed benches' --stats behavior.
-        if (o.stats && rep == static_cast<std::size_t>(o.reps) - 1) {
-          apps::writePdesStats(std::cout, r);
-        }
-        return r.run;
-      });
-  for (const auto& r : results) m.add(r);
-  printSummary(o, m);
-  return 0;
+  return o.jobs > 0 ? o.jobs : sim::envSweepJobs();
 }
 
 }  // namespace
@@ -639,7 +445,6 @@ int runPdesBench(const Options& o) {
 int main(int argc, char** argv) {
   try {
     const Options o = parse(argc, argv);
-    if (o.bench == "pdes") return runPdesBench(o);
     // Observe the last repetition only (mirrors --stats), so traces and
     // metrics describe one run rather than a mix of seeds.
     obs::Observer observer;
@@ -667,9 +472,6 @@ int main(int argc, char** argv) {
           const std::uint64_t seed = o.seed + static_cast<std::uint64_t>(rep);
           const bool last = rep == static_cast<std::size_t>(o.reps) - 1;
           const bool stats = o.stats && last;
-          // Sharded runs route the observer through an ObserverGroup (one
-          // lane per shard) inside runBench and merge into it afterwards,
-          // so the exporters below read the same state either way.
           obs::Observer* obsp = want_obs && last ? &observer : nullptr;
           // Non-last reps get a local observer when exemplars are on, so
           // the reservoir sees the tail of every repetition.
@@ -740,11 +542,6 @@ int main(int argc, char** argv) {
         const obs::TelemetryDump dump = obs::parseTelemetryCsv(ss);
         std::cout << "\n-- telemetry bottleneck report --\n";
         obs::writeReport(std::cout, obs::analyze(dump));
-        const obs::PdesAnalysis pdes = obs::analyzePdes(dump);
-        if (pdes.present) {
-          std::cout << "\n-- pdes engine --\n";
-          obs::writePdesReport(std::cout, pdes);
-        }
       }
     }
     printSummary(o, m);
