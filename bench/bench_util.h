@@ -23,12 +23,14 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <deque>
 #include <functional>
 #include <future>
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -88,7 +90,7 @@ inline std::vector<std::shared_ptr<SweepCase>>& sweepRegistry() {
 }
 
 inline sim::ParallelRunner& sweepPool() {
-  static sim::ParallelRunner pool;  // DAOSIM_JOBS workers
+  static sim::ParallelRunner pool(apps::envJobs());
   return pool;
 }
 
@@ -164,10 +166,31 @@ inline void registerSweep(const std::string& series,
   }
 }
 
+/// DAOSIM_FULL_GRID for a figure's grid choice, read in main() before
+/// benchMain; a malformed value exits 1 like the knobs benchMain checks.
+inline bool fullGrid() {
+  try {
+    return apps::envFullGrid();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    std::exit(1);
+  }
+}
+
 /// main() body for every figure binary: run benchmarks, then print the
-/// paper-style tables to stderr.
+/// paper-style tables to stderr. A malformed DAOSIM_* knob fails the run
+/// before any benchmark starts (non-zero exit, nothing on stdout).
 inline int benchMain(int argc, char** argv, const char* figure_title,
                      bool show_iops = false) {
+  try {
+    apps::envOps();
+    apps::envReps();
+    apps::envJobs();
+    apps::envExemplars();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -42,7 +42,7 @@ apps::RunResult runPoint(std::string api, SweepPoint pt,
 
 int main(int argc, char** argv) {
   const auto grid =
-      apps::envFullGrid()
+      bench::fullGrid()
           ? apps::crossGrid({1, 2, 4, 8, 16}, {1, 2, 4, 8, 16, 32})
           : apps::crossGrid({1, 4, 16}, {1, 4, 16, 32});
 

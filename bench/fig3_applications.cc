@@ -64,10 +64,10 @@ apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto ior_grid = apps::envFullGrid()
+  const auto ior_grid = bench::fullGrid()
                             ? apps::crossGrid({1, 4, 16}, {1, 4, 16, 32})
                             : apps::crossGrid({1, 4, 16}, {4, 16});
-  const auto app_grid = apps::envFullGrid()
+  const auto app_grid = bench::fullGrid()
                             ? apps::crossGrid({1, 4, 16, 32}, {1, 4, 16, 32})
                             : apps::crossGrid({1, 4, 16, 32}, {4, 16});
 

@@ -36,7 +36,7 @@ apps::RunResult runPoint(std::string api, SweepPoint pt,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto grid = apps::envFullGrid()
+  const auto grid = bench::fullGrid()
                         ? apps::crossGrid({1, 2, 4, 8, 16}, {1, 4, 16, 32})
                         : apps::crossGrid({1, 4, 16}, {4, 16, 32});
   bench::registerSweep("ior-daos-array-4srv", grid,

@@ -1,18 +1,13 @@
 // E5 — Fig. 5: write/read scalability of every DAOS API and application
-// with server count (1..64), no redundancy, at the optimal client
+// with server count (1..24), no redundancy, at the optimal client
 // configuration found in Figs. 1/3 (16 client nodes x 16 processes).
 //
 // Expected shape (paper): near-linear scaling to 24 servers for IOR on all
 // four APIs and for Field I/O / fdb-hammer; HDF5-on-DFUSE+IL reaches about
 // half and flattens around 16 servers; HDF5-on-libdaos stops scaling beyond
-// ~4 servers (serialized adaptor metadata). The 32/48/64-server points
-// extend past the paper's measured range. Every point runs on the serial
+// ~4 servers (serialized adaptor metadata). Every point runs on the serial
 // kernel; sweep points and repetitions run concurrently under DAOSIM_JOBS
 // (sim::ParallelRunner).
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-
 #include "apps/fdb.h"
 #include "apps/fieldio.h"
 #include "apps/ior.h"
@@ -28,39 +23,6 @@ using apps::SweepPoint;
 
 constexpr int kClients = 16;
 constexpr int kPpn = 16;
-
-// Points beyond the paper's 24-engine ceiling (budget-guarded below).
-constexpr int kExtendedServers = 32;
-
-// Wall-clock guard for the extended points: once the process has been
-// running for DAOSIM_FIG5_BUDGET_S seconds (default 900, 0 = unlimited),
-// remaining >= 32-server points are skipped (reported as zero rows) so a
-// default run cannot blow a CI time budget. The paper-range points always
-// run.
-std::chrono::steady_clock::time_point processStart() {
-  static const auto t0 = std::chrono::steady_clock::now();
-  return t0;
-}
-
-bool overBudget() {
-  static const long budget_s = [] {
-    const char* v = std::getenv("DAOSIM_FIG5_BUDGET_S");
-    return v == nullptr ? 900L : std::atol(v);
-  }();
-  if (budget_s <= 0) return false;
-  const auto elapsed = std::chrono::steady_clock::now() - processStart();
-  return std::chrono::duration_cast<std::chrono::seconds>(elapsed).count() >=
-         budget_s;
-}
-
-bool skipExtendedPoint(const char* series, int servers) {
-  if (servers < kExtendedServers || !overBudget()) return false;
-  std::fprintf(stderr,
-               "fig5: wall-clock budget exhausted (DAOSIM_FIG5_BUDGET_S); "
-               "skipping %s at %d servers (zero row)\n",
-               series, servers);
-  return true;
-}
 
 // Run label for DAOSIM_TELEMETRY dumps ("s" = server count on this figure).
 std::string runLabel(const std::string& series, SweepPoint pt,
@@ -88,7 +50,6 @@ apps::RunResult runOn(DaosTestbed& tb, const std::string& label,
 // The sweep "client_nodes" column carries the *server* count here.
 apps::RunResult runIor(std::string api, SweepPoint pt,
                        std::uint64_t seed) {
-  if (skipExtendedPoint(("ior-" + api).c_str(), pt.client_nodes)) return {};
   const bool needs_dfuse =
       api == "dfuse" || api == "dfuse-il" || api == "hdf5";
   DaosTestbed tb = makeTestbed(pt.client_nodes, seed, needs_dfuse);
@@ -101,7 +62,6 @@ apps::RunResult runIor(std::string api, SweepPoint pt,
 }
 
 apps::RunResult runFieldIo(SweepPoint pt, std::uint64_t seed) {
-  if (skipExtendedPoint("fieldio", pt.client_nodes)) return {};
   DaosTestbed tb = makeTestbed(pt.client_nodes, seed, false);
   apps::FieldIoConfig cfg;
   cfg.fields = apps::scaledOps(kClients * kPpn, apps::envOps(1000), 20000);
@@ -110,7 +70,6 @@ apps::RunResult runFieldIo(SweepPoint pt, std::uint64_t seed) {
 }
 
 apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed) {
-  if (skipExtendedPoint("fdb-hammer-daos", pt.client_nodes)) return {};
   DaosTestbed tb = makeTestbed(pt.client_nodes, seed, false);
   apps::FdbConfig cfg;
   cfg.fields = apps::scaledOps(kClients * kPpn, apps::envOps(1000), 20000);
@@ -121,12 +80,10 @@ apps::RunResult runFdb(SweepPoint pt, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Server counts on the x axis (as SweepPoint.client_nodes). The paper
-  // stops at 24 engines; the 32/48/64 points probe where the simulated
-  // systems stop scaling and run by default, guarded by
-  // DAOSIM_FIG5_BUDGET_S above.
+  // Server counts on the x axis (as SweepPoint.client_nodes): the paper's
+  // points, up to its 24-engine ceiling.
   std::vector<apps::SweepPoint> servers;
-  for (int s : {1, 2, 4, 8, 16, 24, 32, 48, 64}) servers.push_back({s, kPpn});
+  for (int s : {1, 2, 4, 8, 16, 24}) servers.push_back({s, kPpn});
 
   // One sweep series per io::Backend registry name.
   for (const char* api :

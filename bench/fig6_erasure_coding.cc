@@ -55,7 +55,7 @@ apps::RunResult runFdb(ObjClass array_oclass, ObjClass kv_oclass,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto grid = apps::envFullGrid()
+  const auto grid = bench::fullGrid()
                         ? apps::crossGrid({4, 8, 16}, {4, 16, 32})
                         : apps::crossGrid({4, 16}, {16, 32});
 

@@ -50,7 +50,7 @@ apps::RunResult runIor(SweepPoint pt, std::uint64_t seed) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto grid = apps::envFullGrid()
+  const auto grid = bench::fullGrid()
                         ? apps::crossGrid({1, 4, 16, 32}, {1, 4, 16, 32})
                         : apps::crossGrid({4, 16, 32}, {4, 16});
   bench::registerSweep("fdb-hammer-rados-pg1024", grid,

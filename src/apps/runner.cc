@@ -8,6 +8,7 @@
 #include <mutex>
 #include <string>
 
+#include "apps/sweep.h"
 #include "obs/observer.h"
 
 namespace daosim::apps {
@@ -41,10 +42,7 @@ RunResult runSpmd(sim::Simulation& sim, const std::vector<hw::NodeId>& nodes,
   // below and "last" means last to complete, which is scheduling-dependent.
   const std::string trace_file = envFile("DAOSIM_TRACE");
   const std::string metrics_file = envFile("DAOSIM_METRICS");
-  int exemplars = 0;  // DAOSIM_EXEMPLARS: K slowest ops per type
-  if (const char* v = std::getenv("DAOSIM_EXEMPLARS")) {
-    exemplars = std::atoi(v);
-  }
+  const int exemplars = envExemplars();  // K slowest ops per type
   obs::Observer local;
   const bool attach =
       (!trace_file.empty() || !metrics_file.empty() || exemplars > 0) &&

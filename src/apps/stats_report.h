@@ -2,8 +2,8 @@
 //
 // After a benchmark run these print, per resource class, the busy time and
 // utilization over a horizon — the first tool one reaches for when a curve
-// flattens (is it the SSDs, a NIC, the MDS, the pool-service leader?). The
-// bench binaries honour DAOSIM_STATS=1 and the CLI exposes --stats.
+// flattens (is it the SSDs, a NIC, the MDS, the pool-service leader?). Only
+// `daosim_run --stats` prints the report.
 #pragma once
 
 #include <ostream>

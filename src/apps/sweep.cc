@@ -1,21 +1,16 @@
 #include "apps/sweep.h"
 
 #include <algorithm>
+#include <charconv>
+#include <climits>
 #include <cstdlib>
+#include <cstring>
 #include <iomanip>
+#include <stdexcept>
+#include <string>
+#include <thread>
 
 namespace daosim::apps {
-
-std::vector<SweepPoint> clientNodeGrid(int max_clients, int procs_per_node) {
-  std::vector<SweepPoint> grid;
-  for (int c = 1; c <= max_clients; c *= 2) {
-    grid.push_back(SweepPoint{c, procs_per_node});
-  }
-  if (!grid.empty() && grid.back().client_nodes != max_clients) {
-    grid.push_back(SweepPoint{max_clients, procs_per_node});
-  }
-  return grid;
-}
 
 std::vector<SweepPoint> crossGrid(std::vector<int> client_nodes,
                                   std::vector<int> procs_per_node) {
@@ -31,25 +26,51 @@ std::uint64_t scaledOps(int total_procs, std::uint64_t base_ops,
   if (total_procs <= 0) return base_ops;
   const std::uint64_t per_proc =
       total_target / static_cast<std::uint64_t>(total_procs);
-  return std::clamp<std::uint64_t>(per_proc, 50, base_ops);
+  // The floor of 50 never lifts the count above the base itself.
+  return std::min(base_ops, std::max<std::uint64_t>(per_proc, 50));
 }
 
 namespace {
-std::uint64_t envU64(const char* name, std::uint64_t def) {
+/// The one parser for DAOSIM_* integer knobs: unset or empty gives `def`;
+/// anything else must be a plain decimal integer in [lo, hi].
+std::uint64_t envU64(const char* name, std::uint64_t def, std::uint64_t lo,
+                     std::uint64_t hi) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return def;
-  return std::strtoull(v, nullptr, 10);
+  const char* end = v + std::strlen(v);
+  std::uint64_t x = 0;
+  const auto [p, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc() || p != end || x < lo || x > hi) {
+    throw std::invalid_argument(std::string(name) + "='" + v +
+                                "': expected an integer from " +
+                                std::to_string(lo) + " to " +
+                                std::to_string(hi));
+  }
+  return x;
 }
 }  // namespace
 
-std::uint64_t envOps(std::uint64_t def) { return envU64("DAOSIM_OPS", def); }
-
-int envReps(int def) {
-  return static_cast<int>(envU64("DAOSIM_REPS",
-                                 static_cast<std::uint64_t>(def)));
+std::uint64_t envOps(std::uint64_t def) {
+  return envU64("DAOSIM_OPS", def, 1, UINT64_MAX);
 }
 
-bool envFullGrid() { return envU64("DAOSIM_FULL_GRID", 0) != 0; }
+int envReps(int def) {
+  return static_cast<int>(
+      envU64("DAOSIM_REPS", static_cast<std::uint64_t>(def), 1, INT_MAX));
+}
+
+int envJobs() {
+  const auto jobs = static_cast<int>(envU64("DAOSIM_JOBS", 0, 0, INT_MAX));
+  if (jobs > 0) return jobs;
+  const auto hw = static_cast<int>(std::thread::hardware_concurrency());
+  return hw > 0 ? hw : 1;
+}
+
+int envExemplars() {
+  return static_cast<int>(envU64("DAOSIM_EXEMPLARS", 0, 0, INT_MAX));
+}
+
+bool envFullGrid() { return envU64("DAOSIM_FULL_GRID", 0, 0, 1) != 0; }
 
 namespace {
 /// Per-op latency columns (p50/p95/p99/p99.9/max), in microseconds.

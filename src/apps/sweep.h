@@ -47,11 +47,6 @@ struct Series {
   std::string col1 = "clients";
 };
 
-/// The paper's client-count optimisation grid: client node counts doubling
-/// up to `max_clients`, with `procs_per_node` processes each (the per-node
-/// process counts the paper found optimal are applied by the callers).
-std::vector<SweepPoint> clientNodeGrid(int max_clients, int procs_per_node);
-
 /// A (nodes x procs) cross grid, for full optimisation sweeps.
 std::vector<SweepPoint> crossGrid(std::vector<int> client_nodes,
                                   std::vector<int> procs_per_node);
@@ -61,10 +56,18 @@ std::vector<SweepPoint> crossGrid(std::vector<int> client_nodes,
 std::uint64_t scaledOps(int total_procs, std::uint64_t base_ops,
                         std::uint64_t total_target = 40000);
 
-/// Environment overrides: DAOSIM_OPS (per-process op base),
-/// DAOSIM_REPS (repetitions), DAOSIM_FULL_GRID (1 = larger grids).
+/// Environment overrides. Unset or empty means the default; any other value
+/// must be a plain decimal integer in range, else std::invalid_argument
+/// naming the variable.
+///   DAOSIM_OPS        per-process op base (>= 1)
+///   DAOSIM_REPS       repetitions per sweep point (>= 1)
+///   DAOSIM_JOBS       sweep workers (0 = hardware concurrency)
+///   DAOSIM_EXEMPLARS  K slowest ops kept per op type (0 = off)
+///   DAOSIM_FULL_GRID  1 = the figures' larger grids (0 or 1)
 std::uint64_t envOps(std::uint64_t def = 1000);
 int envReps(int def = 3);
+int envJobs();
+int envExemplars();
 bool envFullGrid();
 
 /// Paper-style table: one row per point with write/read mean ± stddev.

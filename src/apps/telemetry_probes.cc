@@ -48,7 +48,7 @@ void nicProbes(Telemetry& t, const std::string& prefix, hw::Node& node) {
 void deviceProbes(Telemetry& t, const std::string& prefix,
                   const hw::NvmeDevice& dev) {
   t.addProbe(prefix + "/busy_frac", Kind::kRate,
-             [&dev] { return sim::toSeconds(dev.busyTime()); });
+             [&dev] { return sim::toSeconds(dev.drainedBusyTime()); });
   t.addProbe(prefix + "/queue_depth", Kind::kGauge,
              [&dev] { return static_cast<double>(dev.queueDepth()); });
   t.addProbe(prefix + "/bytes_per_s", Kind::kRate, [&dev] {

@@ -78,8 +78,17 @@ class NvmeDevice {
   /// I/Os admitted but not yet acknowledged (the device queue depth a
   /// telemetry gauge samples).
   std::uint32_t queueDepth() const noexcept { return inflight_; }
-  /// Total device-time consumed on the sustained-rate clock.
+  /// Total device-time consumed on the sustained-rate clock, charged in full
+  /// when an op is admitted (so it runs ahead of the clock under a backlog).
   sim::Time busyTime() const noexcept { return busy_; }
+  /// Device time actually drained by now: busyTime() less the admitted work
+  /// still pending, which the drain clock keeps contiguous in
+  /// [now, virtual_end_]. Telemetry samples this, so a bin is never more
+  /// than fully busy.
+  sim::Time drainedBusyTime() const noexcept {
+    const sim::Time now = sim_->now();
+    return virtual_end_ > now ? busy_ - (virtual_end_ - now) : busy_;
+  }
   double utilization(sim::Time horizon) const noexcept {
     return horizon ? static_cast<double>(busy_) / static_cast<double>(horizon)
                    : 0.0;

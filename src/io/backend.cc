@@ -482,6 +482,9 @@ class RadosBackend final : public Backend {
 
 // --- registry ------------------------------------------------------------
 
+using Factory = std::unique_ptr<Backend> (*)(const Env& env, hw::NodeId node,
+                                             std::uint32_t client_id);
+
 struct Entry {
   System system;
   Factory factory;
@@ -570,19 +573,6 @@ const Entry& lookup(std::string_view api) {
 }
 
 }  // namespace
-
-void registerBackend(std::string name, System system, Factory factory) {
-  addBackend(registry(), std::move(name), system, factory);
-}
-
-void registerAlias(std::string alias, std::string canonical) {
-  addAlias(registry(), std::move(alias), std::move(canonical));
-}
-
-bool haveBackend(std::string_view api) {
-  Registry& r = registry();
-  return r.backends.count(api) > 0 || r.aliases.count(api) > 0;
-}
 
 std::string canonicalName(std::string_view api) {
   Registry& r = registry();

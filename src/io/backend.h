@@ -167,18 +167,9 @@ class Backend {
 };
 
 // --- registry ------------------------------------------------------------
+// A fixed registry: the seven paper interfaces plus hdf5-daos, under their
+// canonical names and a few alternate spellings.
 
-using Factory = std::unique_ptr<Backend> (*)(const Env& env, hw::NodeId node,
-                                             std::uint32_t client_id);
-
-/// Registers a backend under a canonical name; throws std::invalid_argument
-/// on duplicates. The seven paper interfaces (plus hdf5-daos) are
-/// pre-registered.
-void registerBackend(std::string name, System system, Factory factory);
-/// Registers an alternate spelling for a canonical name.
-void registerAlias(std::string alias, std::string canonical);
-
-bool haveBackend(std::string_view api);
 /// Resolves aliases; throws std::invalid_argument for unknown names.
 std::string canonicalName(std::string_view api);
 /// Which testbed the named backend drives.

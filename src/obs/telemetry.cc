@@ -82,11 +82,9 @@ void Telemetry::attach(sim::Simulation& sim) {
   sim.setTelemetry(this, next_due_);
 }
 
-sim::Time Telemetry::sampleUpTo(sim::Time t) {
-  while (next_due_ < t) {
-    sampleAt(next_due_);
-    next_due_ += interval_;
-  }
+sim::Time Telemetry::sampleDue() {
+  sampleAt(next_due_);
+  next_due_ += interval_;
   return next_due_;
 }
 
@@ -151,15 +149,6 @@ void Telemetry::writeCsvRows(std::ostream& os,
   }
 }
 
-void Telemetry::writeCsv(std::ostream& os,
-                         const MetricsRegistry* extra) const {
-  os << "# daosim-metrics schema=" << kMetricsSchemaVersion << "\n";
-  os << "# telemetry interval_ns=" << interval_ << "\n";
-  os << "kind,name,field,value\n";
-  writeCsvRows(os, "");
-  if (extra != nullptr) extra->writeCsvRows(os);
-}
-
 namespace {
 
 void jsonBody(std::ostream& os, const Telemetry& t, const char* indent) {
@@ -193,19 +182,6 @@ void jsonBody(std::ostream& os, const Telemetry& t, const char* indent) {
 
 }  // namespace
 
-void Telemetry::writeJson(std::ostream& os,
-                          const MetricsRegistry* extra) const {
-  os << "{\n  \"schema\": " << kMetricsSchemaVersion << ",\n"
-     << "  \"interval_ns\": " << interval_ << ",\n";
-  jsonBody(os, *this, "  ");
-  if (extra != nullptr) {
-    os << ",\n  \"metrics\": {\n";
-    extra->writeJsonFields(os, "    ");
-    os << "\n  }";
-  }
-  os << "\n}\n";
-}
-
 TelemetryHub& TelemetryHub::global() {
   static TelemetryHub hub;
   return hub;
@@ -225,11 +201,6 @@ bool TelemetryHub::empty() const {
 std::size_t TelemetryHub::runCount() const {
   std::lock_guard<std::mutex> lock(mu_);
   return runs_.size();
-}
-
-void TelemetryHub::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  runs_.clear();
 }
 
 void TelemetryHub::writeCsv(std::ostream& os,

@@ -128,11 +128,10 @@ class Telemetry {
   std::uint64_t epoch() const noexcept { return epoch_; }
 
   // --- kernel interface -------------------------------------------------
-  /// Samples every boundary strictly below `t`; called by the simulation
-  /// kernel when an event passes the next boundary. Returns the new next
-  /// boundary (absolute).
-  sim::Time sampleUpTo(sim::Time t);
-  sim::Time nextDue() const noexcept { return next_due_; }
+  /// Samples the due boundary and returns the next one (absolute). The
+  /// kernel calls this for every boundary an event steps over, with its
+  /// clock standing at that boundary.
+  sim::Time sampleDue();
 
   // --- inspection / export ---------------------------------------------
   const std::vector<std::unique_ptr<Node>>& nodes() const noexcept {
@@ -140,15 +139,6 @@ class Telemetry {
   }
   const Node* find(const std::string& path) const;
   std::size_t sampleCount() const noexcept;
-
-  /// Schema-versioned CSV dump (`# daosim-metrics schema=2`): summary rows
-  /// (`kind,path,value,total`) followed by a time-series section
-  /// (`series,path,t_ns,value`). `extra` appends a MetricsRegistry's rows
-  /// (e.g. the observer's op.* layer aggregates). Requires finish().
-  void writeCsv(std::ostream& os, const MetricsRegistry* extra = nullptr) const;
-  /// JSON equivalent with a top-level "schema": 2 field.
-  void writeJson(std::ostream& os,
-                 const MetricsRegistry* extra = nullptr) const;
 
   /// Summary + series rows only (no header); every path gets `prefix`
   /// prepended. Used by TelemetryHub to splice runs into one dump.
@@ -186,9 +176,14 @@ class TelemetryHub {
 
   bool empty() const;
   std::size_t runCount() const;
-  void clear();
 
+  /// Schema-versioned CSV dump (`# daosim-metrics schema=2`, one
+  /// `# telemetry run=` line per run): summary rows (`kind,path,total,value`)
+  /// followed by a time-series section (`series,path,t_ns,value`). `extra`
+  /// appends a MetricsRegistry's rows (e.g. the observer's op.* layer
+  /// aggregates).
   void writeCsv(std::ostream& os, const MetricsRegistry* extra = nullptr) const;
+  /// JSON equivalent with a top-level "schema": 2 field.
   void writeJson(std::ostream& os,
                  const MetricsRegistry* extra = nullptr) const;
 

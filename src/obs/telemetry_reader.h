@@ -1,7 +1,7 @@
 // Reader + end-of-run analyzer for telemetry dumps (obs/telemetry.h).
 //
 // parseTelemetryCsv loads a schema=2 dump (as written by
-// Telemetry/TelemetryHub::writeCsv) back into memory, rejecting other
+// TelemetryHub::writeCsv) back into memory, rejecting other
 // schema versions with a clear error. analyze() then
 //   (a) attributes utilization per station class to name the bottleneck
 //       (classes are derived from metric paths: the `.../busy_frac` leaf is

@@ -82,15 +82,6 @@ class EventQueue {
     return e;
   }
 
-  /// Timestamp of the next event to pop. Queue must be non-empty. Does not
-  /// move `last`: runUntil() may stop short of this time and then accept
-  /// pushes below it.
-  Time nextTime() const {
-    assert(size_ > 0);
-    if (head_ != front_.size) return last_;
-    return minTime(buckets_[std::countr_zero(mask_)]);
-  }
-
  private:
   /// Append-only event array. std::vector's push_back stays an out-of-line
   /// call at the kernel's push sites and in refill(); here the append is

@@ -1,19 +1,6 @@
 #include "sim/parallel.h"
 
-#include <cstdlib>
-
 namespace daosim::sim {
-
-int envSweepJobs() {
-  int jobs = 0;
-  if (const char* v = std::getenv("DAOSIM_JOBS")) {
-    jobs = std::atoi(v);
-  }
-  if (jobs <= 0) {
-    jobs = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  return jobs > 0 ? jobs : 1;
-}
 
 ParallelRunner::ParallelRunner(int jobs) : jobs_(jobs > 0 ? jobs : 1) {
   if (jobs_ > 1) {

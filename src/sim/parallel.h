@@ -19,8 +19,9 @@
 // This is the simulator's only parallelism: whole independent simulations
 // run concurrently, each on the serial kernel.
 //
-// DAOSIM_JOBS selects the sweep worker count (default: hardware
-// concurrency; 1 restores fully serial, inline execution with no threads).
+// Callers choose the worker count (the bench harness and daosim_run read
+// DAOSIM_JOBS through apps::envJobs()); 1 is fully serial, inline execution
+// with no threads.
 #pragma once
 
 #include <atomic>
@@ -39,10 +40,6 @@
 
 namespace daosim::sim {
 
-/// DAOSIM_JOBS (sweep cells), clamped to >= 1; unset or 0 means hardware
-/// concurrency.
-int envSweepJobs();
-
 /// Carried by the futures of jobs skipped after an earlier job failed; the
 /// originating error is ParallelRunner::firstError().
 class JobCancelled : public std::runtime_error {
@@ -53,7 +50,8 @@ class JobCancelled : public std::runtime_error {
 
 class ParallelRunner {
  public:
-  explicit ParallelRunner(int jobs = envSweepJobs());
+  /// `jobs` below 1 runs serially.
+  explicit ParallelRunner(int jobs);
 
   /// Drains the queue and joins the workers.
   ~ParallelRunner();

@@ -54,25 +54,12 @@ class Rng {
     return result;
   }
 
-  /// Uniform in [0, 1).
-  double real01() noexcept {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-  }
-
   /// Uniform integer in [lo, hi] inclusive.
   std::uint64_t uniform(std::uint64_t lo, std::uint64_t hi) noexcept {
     assert(lo <= hi);
     const std::uint64_t span = hi - lo + 1;
     if (span == 0) return (*this)();  // full range
     return lo + (*this)() % span;
-  }
-
-  /// Exponentially distributed value with the given mean (mean==0 -> 0).
-  double exponential(double mean) noexcept;
-
-  /// Uniform double in [lo, hi).
-  double uniformReal(double lo, double hi) noexcept {
-    return lo + (hi - lo) * real01();
   }
 
  private:

@@ -56,22 +56,14 @@ std::size_t Simulation::run(std::size_t max_events) {
   return n;
 }
 
-std::size_t Simulation::runUntil(Time t) {
-  std::size_t n = 0;
-  while (!queue_.empty() && queue_.nextTime() <= t) {
-    const EventQueue::Item e = queue_.pop();
-    if (e.t > telemetry_due_) [[unlikely]] telemetrySample(e.t);
-    now_ = e.t;
-    ++n;
-    ++processed_;
-    e.h.resume();
-  }
-  if (now_ < t) now_ = t;
-  return n;
-}
-
 void Simulation::telemetrySample(Time t) {
-  telemetry_due_ = telemetry_->sampleUpTo(t);
+  // No pending event lies before t, so the state at each boundary is the
+  // current one. The clock stands at the boundary while it is sampled, so
+  // probes that read now() (the NVMe drain clock) see the sample time.
+  while (telemetry_due_ < t) {
+    now_ = telemetry_due_;
+    telemetry_due_ = telemetry_->sampleDue();
+  }
 }
 
 }  // namespace daosim::sim

@@ -188,7 +188,7 @@ class ProcHandle {
 
 class Simulation {
  public:
-  /// nextEventTime() sentinel for an empty queue; larger than any real time.
+  /// A time later than any real event (telemetry off: no sample is due).
   static constexpr Time kNever = ~Time{0};
 
   explicit Simulation(std::uint64_t seed = 1) : rng_(seed) {}
@@ -248,15 +248,6 @@ class Simulation {
   /// Runs until the event queue drains; returns the number of events
   /// processed. `max_events` guards against runaway simulations.
   std::size_t run(std::size_t max_events = ~std::size_t{0});
-
-  /// Runs events with timestamps <= t, then sets now to t.
-  std::size_t runUntil(Time t);
-
-  /// Timestamp of the earliest pending event, kNever when the queue is
-  /// empty.
-  Time nextEventTime() const noexcept {
-    return queue_.empty() ? kNever : queue_.nextTime();
-  }
 
   bool empty() const noexcept { return queue_.empty(); }
   std::size_t pendingEvents() const noexcept { return queue_.size(); }

@@ -216,12 +216,6 @@ TEST(RunnerTest, ProcessFailurePropagates) {
 }
 
 TEST(SweepTest, GridAndScaling) {
-  auto grid = clientNodeGrid(16, 8);
-  ASSERT_EQ(grid.size(), 5u);
-  EXPECT_EQ(grid.front().client_nodes, 1);
-  EXPECT_EQ(grid.back().client_nodes, 16);
-  EXPECT_EQ(grid.back().totalProcs(), 128);
-
   auto cross = crossGrid({1, 2}, {4, 8});
   EXPECT_EQ(cross.size(), 4u);
 

@@ -402,13 +402,6 @@ TEST(ClusterCorners, HeaderBytesChargedPerMessage) {
   EXPECT_GT(cluster.node(a).tx().busyTime(), 0u);
 }
 
-TEST(SweepCorners, ClientNodeGridIncludesNonPowerOfTwoMax) {
-  auto grid = apps::clientNodeGrid(24, 4);
-  ASSERT_GE(grid.size(), 2u);
-  EXPECT_EQ(grid.back().client_nodes, 24);  // appended explicitly
-  EXPECT_EQ(grid[grid.size() - 2].client_nodes, 16);
-}
-
 TEST(DfsCorners, RenameAcrossDirectoriesKeepsData) {
   apps::DaosTestbed::Options opt;
   opt.server_nodes = 2;

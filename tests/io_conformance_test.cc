@@ -46,7 +46,7 @@ TEST(IoRegistry, AllSevenPaperPathsRegistered) {
   const auto names = io::backendNames();
   for (const char* api : {"daos-array", "dfs", "dfuse", "dfuse-il", "hdf5",
                           "hdf5-daos", "lustre-posix", "rados"}) {
-    EXPECT_TRUE(io::haveBackend(api)) << api;
+    EXPECT_EQ(io::canonicalName(api), api);
     EXPECT_NE(std::find(names.begin(), names.end(), api), names.end()) << api;
   }
 }
@@ -61,7 +61,6 @@ TEST(IoRegistry, AliasesResolveToCanonicalNames) {
 }
 
 TEST(IoRegistry, UnknownNamesThrow) {
-  EXPECT_FALSE(io::haveBackend("ntfs"));
   EXPECT_THROW((void)io::canonicalName("ntfs"), std::invalid_argument);
   EXPECT_THROW((void)io::backendSystem("ntfs"), std::invalid_argument);
   io::Env env;
@@ -76,12 +75,6 @@ TEST(IoRegistry, BackendsMapToTheirSystems) {
   }
   EXPECT_EQ(io::backendSystem("lustre-posix"), io::System::kLustre);
   EXPECT_EQ(io::backendSystem("rados"), io::System::kCeph);
-}
-
-TEST(IoRegistry, DuplicateRegistrationThrows) {
-  EXPECT_THROW(io::registerBackend("daos-array", io::System::kDaos, nullptr),
-               std::invalid_argument);
-  EXPECT_THROW(io::registerAlias("libdaos", "dfs"), std::invalid_argument);
 }
 
 // --- 2. write/barrier/read-back round trip -------------------------------

@@ -9,7 +9,6 @@
 #include <bit>
 #include <cstdint>
 #include <future>
-#include <memory>
 #include <queue>
 #include <random>
 #include <thread>
@@ -78,7 +77,6 @@ void crossCheck(std::uint64_t rng_seed, int rounds) {
     }
     const int pops = static_cast<int>(rng() % 24);
     for (int i = 0; i < pops && !ref.empty(); ++i) {
-      ASSERT_EQ(q.nextTime(), ref.top().t);
       const EventQueue::Item got = q.pop();
       ASSERT_EQ(got.t, ref.top().t);
       ASSERT_EQ(got.seq, ref.top().seq);
@@ -132,9 +130,7 @@ TEST(EventQueue, SparseTimestampsFallBackToFarHeap) {
 }
 
 // Drives an EventQueue and a std::priority_queue reference in lockstep.
-// `now` follows the kernel's rules: it moves to each popped time, and
-// stopShort() may advance it below the next pending time, as runUntil()
-// does when it stops before the next event.
+// `now` follows the kernel's rule: it moves to each popped time.
 struct Lockstep {
   EventQueue q;
   std::priority_queue<RefItem, std::vector<RefItem>, RefAfter> ref;
@@ -149,22 +145,12 @@ struct Lockstep {
   }
   void pop() {
     ASSERT_FALSE(ref.empty());
-    ASSERT_EQ(q.nextTime(), ref.top().t);
     const EventQueue::Item got = q.pop();
     ASSERT_EQ(got.t, ref.top().t);
     ASSERT_EQ(got.seq, ref.top().seq);
     now = got.t;
     ref.pop();
     ASSERT_EQ(q.size(), ref.size());
-  }
-  void stopShort(Time t) {
-    ASSERT_GE(t, now);
-    if (!ref.empty()) {
-      // runUntil() consults nextTime() before it stops short.
-      ASSERT_EQ(q.nextTime(), ref.top().t);
-      ASSERT_LT(t, ref.top().t);
-    }
-    now = t;
   }
   void drain() {
     while (!ref.empty()) {
@@ -224,83 +210,6 @@ TEST(EventQueue, PowerOfTwoBoundariesAndTopBit) {
     if (i % 3 == 0) ls.push(ls.now);
   }
   ls.drain();
-}
-
-TEST(EventQueue, NextTimeMatchesPopUnderStopShortSchedules) {
-  // Randomized: at every step nextTime() must equal the next popped time,
-  // including after the clock stopped short of the next event and pushes
-  // landed between the clock and that event.
-  for (std::uint64_t s = 1; s <= 6; ++s) {
-    std::mt19937_64 rng(s * 7919);
-    Lockstep ls;
-    for (int round = 0; round < 500; ++round) {
-      if (!ls.ref.empty() && rng() % 4 == 0) {
-        const Time gap = ls.ref.top().t - ls.now;
-        if (gap > 0) ls.stopShort(ls.now + rng() % gap);
-      }
-      const int pushes = static_cast<int>(rng() % 8);
-      for (int i = 0; i < pushes; ++i) {
-        const int shift = static_cast<int>(rng() % 40);
-        ls.push(ls.now + (rng() % 3 == 0 ? 0 : rng() % (Time{1} << shift)));
-      }
-      const int pops = static_cast<int>(rng() % 8);
-      for (int i = 0; i < pops && !ls.ref.empty(); ++i) {
-        ls.pop();
-        ASSERT_FALSE(testing::Test::HasFatalFailure());
-      }
-    }
-    ls.drain();
-  }
-}
-
-struct Wake {
-  Simulation* sim = nullptr;
-  Time at = 0;
-  std::uint64_t id = 0;
-  std::vector<std::pair<Time, std::uint64_t>>* log = nullptr;
-};
-
-Task<void> wakeAt(Wake* w) {
-  co_await w->sim->delay(w->at - w->sim->now());
-  w->log->emplace_back(w->sim->now(), w->id);
-}
-
-TEST(Simulation, RunUntilStopsShortThenAcceptsEarlierPushes) {
-  // runUntil(t) stops before the next pending event and sets now = t; the
-  // processes spawned afterwards wake in [t, next) and beyond. Wake-up
-  // order must match a (time, spawn order) priority-queue reference.
-  Simulation simu;
-  std::vector<std::pair<Time, std::uint64_t>> log;
-  std::vector<std::unique_ptr<Wake>> wakes;
-  std::priority_queue<RefItem, std::vector<RefItem>, RefAfter> ref;
-  std::mt19937_64 rng(17);
-  auto spawnAt = [&](Time at) {
-    wakes.push_back(std::make_unique<Wake>(
-        Wake{&simu, at, wakes.size(), &log}));
-    ref.push(RefItem{at, wakes.back()->id});
-    simu.spawn(wakeAt(wakes.back().get()));
-  };
-  spawnAt(1'000'000);
-  for (int i = 0; i < 16; ++i) spawnAt(1'000'000 + rng() % 1'000'000);
-  for (int stop = 0; stop < 6; ++stop) {
-    const Time next = simu.nextEventTime();
-    const Time t = simu.now() + (next - simu.now()) / 3;
-    ASSERT_LT(t, next);
-    EXPECT_EQ(simu.runUntil(t), 0u);
-    EXPECT_EQ(simu.now(), t);
-    for (int i = 0; i < 8; ++i) spawnAt(t + rng() % (next - t));
-    spawnAt(t);
-    spawnAt(next);
-    spawnAt(next + rng() % 1'000'000);
-    simu.runUntil(t + (next - t) / 2);  // pops part of the new events
-  }
-  simu.run();
-  ASSERT_EQ(log.size(), ref.size());
-  for (const auto& [at, id] : log) {
-    EXPECT_EQ(at, ref.top().t);
-    EXPECT_EQ(id, ref.top().seq);
-    ref.pop();
-  }
 }
 
 // --- scheduleAt precondition: clamped and counted in release builds ------

@@ -6,6 +6,7 @@
 // and byte-identical hub dumps for serial vs parallel sweeps.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -13,10 +14,13 @@
 #include <vector>
 
 #include "apps/fault_injector.h"
+#include "apps/ior.h"
+#include "apps/runner.h"
 #include "apps/telemetry_probes.h"
 #include "apps/testbed.h"
 #include "daos/array.h"
 #include "daos/client.h"
+#include "hw/spec.h"
 #include "obs/telemetry.h"
 #include "obs/telemetry_reader.h"
 #include "sim/fault_plan.h"
@@ -184,15 +188,17 @@ TEST(TelemetryCsv, CommaAndQuoteNamesRoundTripThroughReader) {
   t.attach(sim);
   sim.spawn(idleUntil(&sim, 12_ms));
   sim.run();
-  t.finish();
+  obs::TelemetryHub hub;
+  hub.add("run", std::move(t));
   std::stringstream ss;
-  t.writeCsv(ss);
+  hub.writeCsv(ss);
   const obs::TelemetryDump dump = obs::parseTelemetryCsv(ss);
+  const std::string path = "run/" + evil;
   EXPECT_EQ(dump.schema, 2);
-  ASSERT_EQ(dump.summary.count(evil), 1u);
-  EXPECT_EQ(dump.summary.at(evil).first, "gauge");
-  ASSERT_EQ(dump.series.count(evil), 1u);
-  EXPECT_EQ(dump.series.at(evil).size(), 2u);  // 10ms + partial 12ms
+  ASSERT_EQ(dump.summary.count(path), 1u);
+  EXPECT_EQ(dump.summary.at(path).first, "gauge");
+  ASSERT_EQ(dump.series.count(path), 1u);
+  EXPECT_EQ(dump.series.at(path).size(), 2u);  // 10ms + partial 12ms
 }
 
 TEST(TelemetryCsv, ReaderRejectsOtherSchemas) {
@@ -372,6 +378,67 @@ TEST(TelemetryHub, DuplicateLabelKeepsFirstRegistry) {
   hub.writeCsv(os);
   EXPECT_NE(os.str().find("rep/0/first"), std::string::npos);
   EXPECT_EQ(os.str().find("rep/0/second"), std::string::npos);
+}
+
+// --- model invariants over a real run -------------------------------------
+
+// The run `daosim_run --bench ior --api daos-array --servers 4 --clients 4
+// --ppn 2 --ops 12 --reps 3 --telemetry FILE` dumps: three seeded IOR
+// repetitions, 1 MiB transfers, 10 ms bins. Its NVMe devices run a backlog,
+// which is where busy time charged on admission used to read up to 2x.
+TEST(TelemetryInvariants, BusyFractionsStayInRangeOnIorRun) {
+  const Time interval = 10_ms;
+  const apps::IorConfig cfg{.transfer = 1 << 20, .ops = 12};
+  obs::TelemetryHub hub;
+  Time s_max = 0;  // longest single service any station credits
+  for (std::uint64_t rep = 0; rep < 3; ++rep) {
+    apps::DaosTestbed::Options opt;
+    opt.server_nodes = 4;
+    opt.client_nodes = 4;
+    opt.seed = 1 + rep;
+    apps::DaosTestbed tb(opt);
+    // A NIC direction holds for one message's wire time; the CPU holds on
+    // xstreams and the pool service are a few microseconds.
+    hw::Cluster& cluster = tb.cluster();
+    const std::uint64_t wire = cfg.transfer + cluster.fabric().header_bytes;
+    for (hw::NodeId n = 0; n < static_cast<hw::NodeId>(cluster.nodeCount());
+         ++n) {
+      const hw::NicSpec& nic = cluster.node(n).spec().nic;
+      s_max = std::max(s_max,
+                       nic.per_message + hw::transferTime(wire, nic.gibps));
+    }
+    Telemetry t(interval);
+    apps::registerProbes(t, tb);
+    t.attach(tb.sim());
+    apps::Ior bench(tb.ioEnv(), "daos-array", cfg);
+    apps::runSpmd(tb.sim(), tb.clientSubset(4), 2, bench);
+    hub.add("rep/" + std::to_string(rep), std::move(t));
+  }
+  std::stringstream ss;
+  hub.writeCsv(ss);
+  const obs::TelemetryDump dump = obs::parseTelemetryCsv(ss);
+
+  // Stations credit a service when it completes, so one bin can hold up to
+  // one extra service beyond the bin width.
+  const double station_max =
+      1.0 + static_cast<double>(s_max) / static_cast<double>(interval);
+  std::size_t nvme_bins = 0;
+  std::size_t station_bins = 0;
+  for (const auto& [path, samples] : dump.series) {
+    const std::string leaf = "/busy_frac";
+    if (path.size() < leaf.size() ||
+        path.compare(path.size() - leaf.size(), leaf.size(), leaf) != 0) {
+      continue;
+    }
+    const bool nvme = path.find("/nvme/") != std::string::npos;
+    for (const auto& [ts, v] : samples) {
+      EXPECT_GE(v, 0.0) << path << " @ " << ts;
+      EXPECT_LE(v, nvme ? 1.0 : station_max) << path << " @ " << ts;
+      ++(nvme ? nvme_bins : station_bins);
+    }
+  }
+  EXPECT_GT(nvme_bins, 0u);
+  EXPECT_GT(station_bins, 0u);
 }
 
 }  // namespace

@@ -265,11 +265,7 @@ Options parse(int argc, char** argv) {
   if (o.trace_file.empty()) {
     if (const char* v = std::getenv("DAOSIM_TRACE")) o.trace_file = v;
   }
-  if (o.exemplars == 0) {
-    if (const char* v = std::getenv("DAOSIM_EXEMPLARS")) {
-      o.exemplars = std::atoi(v);
-    }
-  }
+  if (o.exemplars == 0) o.exemplars = apps::envExemplars();
   if (o.metrics_file.empty()) {
     if (const char* v = std::getenv("DAOSIM_METRICS")) o.metrics_file = v;
   }
@@ -437,7 +433,7 @@ void printSummary(const Options& o, const apps::Measurement& m) {
 /// Sweep-pool width: --jobs when given, else DAOSIM_JOBS / hardware
 /// concurrency.
 int sweepJobs(const Options& o) {
-  return o.jobs > 0 ? o.jobs : sim::envSweepJobs();
+  return o.jobs > 0 ? o.jobs : apps::envJobs();
 }
 
 }  // namespace
