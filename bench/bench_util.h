@@ -115,11 +115,14 @@ inline void launchAllSweeps() {
 }  // namespace detail
 
 /// Registers one google-benchmark case per sweep point for `series`.
+/// `col1` and `procs` label the table as Series documents.
 inline void registerSweep(const std::string& series,
                           const std::vector<SweepPoint>& grid,
                           PointRunner runner, bool show_iops = false,
-                          const std::string& col1 = "clients") {
+                          const std::string& col1 = "clients",
+                          int procs = 0) {
   seriesNamed(series).col1 = col1;
+  seriesNamed(series).procs = procs;
   for (const SweepPoint& pt : grid) {
     const std::string name = series + "/c" + std::to_string(pt.client_nodes) +
                              "/n" + std::to_string(pt.procs_per_node);

@@ -93,10 +93,12 @@ int main(int argc, char** argv) {
         [api = std::string(api)](SweepPoint pt, std::uint64_t seed) {
           return runIor(api, pt, seed);
         },
-        /*show_iops=*/false, /*col1=*/"servers");
+        /*show_iops=*/false, /*col1=*/"servers", /*procs=*/kClients * kPpn);
   }
-  bench::registerSweep("fieldio", servers, runFieldIo, false, "servers");
-  bench::registerSweep("fdb-hammer-daos", servers, runFdb, false, "servers");
+  bench::registerSweep("fieldio", servers, runFieldIo, false, "servers",
+                       kClients * kPpn);
+  bench::registerSweep("fdb-hammer-daos", servers, runFdb, false, "servers",
+                       kClients * kPpn);
   return bench::benchMain(
       argc, argv,
       "E5 / Fig. 5: scalability with DAOS server count (16x16 clients)");

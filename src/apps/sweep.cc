@@ -102,7 +102,8 @@ void printSeries(std::ostream& os, const Series& series, bool show_iops) {
   os << "\n";
   for (const auto& m : series.points) {
     os << std::setw(8) << m.point.client_nodes << std::setw(7)
-       << m.point.procs_per_node << std::setw(7) << m.point.totalProcs();
+       << m.point.procs_per_node << std::setw(7)
+       << (series.procs > 0 ? series.procs : m.point.totalProcs());
     os << std::fixed << std::setprecision(2);
     if (show_iops) {
       os << std::setw(14) << m.write_kiops.mean() << std::setw(9)

@@ -45,6 +45,9 @@ struct Series {
   /// Label of the first column (default "clients"; the server-scaling
   /// figure reuses it as "servers").
   std::string col1 = "clients";
+  /// Processes of every point when the first column is not the client node
+  /// count; 0 prints client_nodes x procs_per_node.
+  int procs = 0;
 };
 
 /// A (nodes x procs) cross grid, for full optimisation sweeps.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string_view>
 
 #include "vos/extent_tree.h"
 
@@ -118,15 +119,18 @@ sim::Task<std::uint64_t> Engine::arrayShardTruncate(int tgt, ContId c,
   co_await t.xstream().exec(cfg_->engine.rpc_cpu + 2 * cfg_->engine.kv_cpu,
                             op);
   co_await t.device().write(cfg_->engine.wal_bytes, op);
+  // Cut short the chunk the new size falls inside, then punch every chunk
+  // past it in one pass.
   for (const auto& dkey : t.store().listDkeys(c, o)) {
     if (dkey.size() != 8) continue;
     const std::uint64_t base = vos::dkeyU64(dkey) * chunk_size;
-    if (base >= new_size) {
-      t.store().punchDkey(c, o, dkey);
-    } else if (base + chunk_size > new_size) {
+    if (base < new_size && base + chunk_size > new_size) {
       t.store().extentTruncate(c, o, dkey, "0", new_size - base);
     }
   }
+  t.store().punchDkeys(c, o, [&](std::string_view dkey) {
+    return dkey.size() == 8 && vos::dkeyU64(dkey) * chunk_size >= new_size;
+  });
   co_return 0;
 }
 

@@ -1,8 +1,10 @@
 #include "daos/rebuild.h"
 
+#include <algorithm>
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -43,6 +45,12 @@ std::vector<RecordCopy> captureRecords(vos::TargetStore& store, ContId cont,
     }
     out.push_back(std::move(rc));
   });
+  // Migrate in key order, so the transfer schedule does not depend on the
+  // store's record layout.
+  std::sort(out.begin(), out.end(),
+            [](const RecordCopy& a, const RecordCopy& b) {
+              return std::tie(a.dkey, a.akey) < std::tie(b.dkey, b.akey);
+            });
   return out;
 }
 
@@ -145,16 +153,8 @@ sim::Task<void> repairEcSlot(DaosSystem& sys, ContId cont, ObjectId oid,
       if (m2 == m) continue;
       const int src = old_layout.target(group, m2);
       auto [e, l] = sys.locateTarget(src);
-      const auto* tree = [&]() -> const vos::ExtentTree* {
-        const vos::ExtentTree* found = nullptr;
-        e->target(l).store().forEachRecord(
-            cont, oid, [&](const vos::TargetStore::RecordView& v) {
-              if (*v.dkey == dkey && *v.akey == "0" && v.tree != nullptr) {
-                found = v.tree;
-              }
-            });
-        return found;
-      }();
+      const vos::ExtentTree* tree =
+          e->target(l).store().findTree(cont, oid, dkey, "0");
       if (tree == nullptr || tree->extentCount() != 1) {
         regular = false;
         break;

@@ -51,9 +51,17 @@ void ExtentTree::carve(std::uint64_t off, std::uint64_t len) {
 
 void ExtentTree::write(std::uint64_t offset, Payload payload) {
   if (payload.empty()) return;
-  carve(offset, payload.size());
-  end_ = std::max(end_, offset + payload.size());
-  stored_ += payload.size();
+  const std::uint64_t size = payload.size();
+  stored_ += size;
+  if (offset >= end_) {
+    // Every extent ends at or before end_: an append overlaps none and
+    // goes after all of them.
+    end_ = offset + size;
+    extents_.emplace_hint(extents_.end(), offset, std::move(payload));
+    return;
+  }
+  carve(offset, size);
+  end_ = std::max(end_, offset + size);
   extents_.emplace(offset, std::move(payload));
 }
 

@@ -1,7 +1,8 @@
 #include "vos/target_store.h"
 
 #include <algorithm>
-#include <tuple>
+#include <bit>
+#include <functional>
 #include <utility>
 
 #include "sim/rng.h"
@@ -23,6 +24,103 @@ std::uint64_t dkeyU64(std::string_view dkey) {
     v = (v << 8) | static_cast<unsigned char>(c);
   }
   return v;
+}
+
+std::size_t TargetStore::Records::hash(std::string_view dkey,
+                                       std::string_view akey) noexcept {
+  const std::hash<std::string_view> h;
+  return static_cast<std::size_t>(sim::hashCombine(h(dkey), h(akey)));
+}
+
+std::size_t TargetStore::Records::position(
+    std::string_view dkey, std::string_view akey) const noexcept {
+  if (index_.empty()) {
+    for (std::size_t pos = 0; pos < records_.size(); ++pos) {
+      const Record& r = records_[pos];
+      if (r.dkey == dkey && r.akey == akey) return pos;
+    }
+    return records_.size();
+  }
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = hash(dkey, akey) & mask; index_[i] != 0;
+       i = (i + 1) & mask) {
+    const std::size_t pos = index_[i] - 1;
+    const Record& r = records_[pos];
+    if (r.dkey == dkey && r.akey == akey) return pos;
+  }
+  return records_.size();
+}
+
+const TargetStore::Record* TargetStore::Records::find(
+    std::string_view dkey, std::string_view akey) const noexcept {
+  const std::size_t pos = position(dkey, akey);
+  return pos < records_.size() ? &records_[pos] : nullptr;
+}
+
+TargetStore::Value& TargetStore::Records::findOrAdd(std::string_view dkey,
+                                                    std::string_view akey) {
+  const std::size_t pos = position(dkey, akey);
+  if (pos < records_.size()) return records_[pos].value;
+  records_.push_back(Record{std::string(dkey), std::string(akey), Value()});
+  // Index past kScanRecords, rebuilding it larger once it is half full.
+  if (2 * records_.size() > index_.size() && records_.size() > kScanRecords) {
+    reindex();
+  } else if (!index_.empty()) {
+    indexInsert(static_cast<std::uint32_t>(records_.size() - 1));
+  }
+  return records_.back().value;
+}
+
+std::size_t TargetStore::Records::entryOf(std::uint32_t pos) const noexcept {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = hash(records_[pos]) & mask;
+  while (index_[i] != pos + 1) i = (i + 1) & mask;
+  return i;
+}
+
+void TargetStore::Records::indexInsert(std::uint32_t pos) noexcept {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = hash(records_[pos]) & mask;
+  while (index_[i] != 0) i = (i + 1) & mask;
+  index_[i] = pos + 1;
+}
+
+void TargetStore::Records::indexErase(std::size_t i) noexcept {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t j = (i + 1) & mask; index_[j] != 0; j = (j + 1) & mask) {
+    // The entry at j may fill the hole at i unless its home lies
+    // (cyclically) in (i, j].
+    const std::size_t from_home =
+        (j - hash(records_[index_[j] - 1])) & mask;
+    if (from_home >= ((j - i) & mask)) {
+      index_[i] = index_[j];
+      i = j;
+    }
+  }
+  index_[i] = 0;
+}
+
+void TargetStore::Records::erase(const Record* r) {
+  const auto pos = static_cast<std::uint32_t>(r - records_.data());
+  const auto last = static_cast<std::uint32_t>(records_.size() - 1);
+  if (!index_.empty()) {
+    indexErase(entryOf(pos));
+    if (pos != last) index_[entryOf(last)] = pos + 1;
+  }
+  if (pos != last) records_[pos] = std::move(records_[last]);
+  records_.pop_back();
+}
+
+void TargetStore::Records::reindex() {
+  index_.clear();
+  if (records_.size() <= kScanRecords) {
+    index_.shrink_to_fit();
+    return;
+  }
+  index_.resize(std::bit_ceil(2 * records_.size()));
+  for (std::size_t pos = 0; pos < records_.size(); ++pos) {
+    indexInsert(static_cast<std::uint32_t>(pos));
+  }
 }
 
 std::size_t TargetStore::home(ContId c, const ObjectId& o) const noexcept {
@@ -55,8 +153,8 @@ const TargetStore::Value* TargetStore::findValue(ContId c, const ObjectId& o,
                                                  std::string_view akey) const {
   const Records* records = findObject(c, o);
   if (records == nullptr) return nullptr;
-  auto it = records->find(RecordLess::View(dkey, akey));
-  return it == records->end() ? nullptr : &it->second;
+  const Record* r = records->find(dkey, akey);
+  return r == nullptr ? nullptr : &r->value;
 }
 
 TargetStore::Value& TargetStore::slot(ContId c, const ObjectId& o,
@@ -75,15 +173,7 @@ TargetStore::Value& TargetStore::slot(ContId c, const ObjectId& o,
       containers_.push_back(c);
     }
   }
-  const RecordLess::View key(dkey, akey);
-  auto it = s.records.lower_bound(key);
-  if (it == s.records.end() || s.records.key_comp()(key, it->first)) {
-    it = s.records.emplace_hint(
-        it, std::piecewise_construct,
-        std::forward_as_tuple(std::string(dkey), std::string(akey)),
-        std::forward_as_tuple());
-  }
-  return it->second;
+  return s.records.findOrAdd(dkey, akey);
 }
 
 ExtentTree& TargetStore::asTree(Value& v) {
@@ -146,10 +236,10 @@ bool TargetStore::valueRemove(ContId c, const ObjectId& o,
   const std::size_t i = find(c, o);
   if (i == slots_.size()) return false;
   Records& records = slots_[i].records;
-  auto it = records.find(RecordLess::View(dkey, akey));
-  if (it == records.end()) return false;
-  bytes_stored_ -= valueBytes(it->second);
-  records.erase(it);
+  const Record* r = records.find(dkey, akey);
+  if (r == nullptr) return false;
+  bytes_stored_ -= valueBytes(r->value);
+  records.erase(r);
   return true;
 }
 
@@ -183,9 +273,15 @@ ExtentTree::ReadResult TargetStore::extentRead(ContId c, const ObjectId& o,
 std::uint64_t TargetStore::extentEnd(ContId c, const ObjectId& o,
                                      std::string_view dkey,
                                      std::string_view akey) const {
-  const Value* v = findValue(c, o, dkey, akey);
-  const auto* tree = v == nullptr ? nullptr : std::get_if<ExtentTree>(v);
+  const ExtentTree* tree = findTree(c, o, dkey, akey);
   return tree == nullptr ? 0 : tree->end();
+}
+
+const ExtentTree* TargetStore::findTree(ContId c, const ObjectId& o,
+                                        std::string_view dkey,
+                                        std::string_view akey) const {
+  const Value* v = findValue(c, o, dkey, akey);
+  return v == nullptr ? nullptr : std::get_if<ExtentTree>(v);
 }
 
 void TargetStore::extentTruncate(ContId c, const ObjectId& o,
@@ -201,10 +297,10 @@ std::vector<std::string> TargetStore::listDkeys(ContId c,
                                                 const ObjectId& o) const {
   std::vector<std::string> out;
   if (const Records* records = findObject(c, o)) {
-    for (const auto& [key, _] : *records) {
-      if (out.empty() || out.back() != key.first) out.push_back(key.first);
-    }
+    for (const Record& r : records->all()) out.push_back(r.dkey);
   }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
@@ -212,11 +308,11 @@ std::vector<std::string> TargetStore::listAkeys(ContId c, const ObjectId& o,
                                                 std::string_view dkey) const {
   std::vector<std::string> out;
   if (const Records* records = findObject(c, o)) {
-    for (auto it = records->lower_bound(RecordLess::View(dkey, {}));
-         it != records->end() && it->first.first == dkey; ++it) {
-      out.push_back(it->first.second);
+    for (const Record& r : records->all()) {
+      if (r.dkey == dkey) out.push_back(r.akey);
     }
   }
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -227,23 +323,10 @@ bool TargetStore::objectExists(ContId c, const ObjectId& o) const {
 bool TargetStore::punchObject(ContId c, const ObjectId& o) {
   const std::size_t i = find(c, o);
   if (i == slots_.size()) return false;
-  for (const auto& [_, v] : slots_[i].records) bytes_stored_ -= valueBytes(v);
-  eraseSlot(i);
-  return true;
-}
-
-bool TargetStore::punchDkey(ContId c, const ObjectId& o,
-                            std::string_view dkey) {
-  const std::size_t i = find(c, o);
-  if (i == slots_.size()) return false;
-  Records& records = slots_[i].records;
-  auto first = records.lower_bound(RecordLess::View(dkey, {}));
-  auto last = first;
-  for (; last != records.end() && last->first.first == dkey; ++last) {
-    bytes_stored_ -= valueBytes(last->second);
+  for (const Record& r : slots_[i].records.all()) {
+    bytes_stored_ -= valueBytes(r.value);
   }
-  if (first == last) return false;
-  records.erase(first, last);
+  eraseSlot(i);
   return true;
 }
 
@@ -256,7 +339,9 @@ void TargetStore::destroyContainer(ContId c) {
   for (std::size_t i = 0; i < slots_.size();) {
     Slot& s = slots_[i];
     if (s.used && s.cont == c) {
-      for (const auto& [_, v] : s.records) bytes_stored_ -= valueBytes(v);
+      for (const Record& r : s.records.all()) {
+        bytes_stored_ -= valueBytes(r.value);
+      }
       eraseSlot(i);
     } else {
       ++i;

@@ -2,7 +2,7 @@
 //
 //  * ExtentTree vs a byte-level reference (std::map<offset, byte>): random
 //    writes, truncates and reads must agree byte-for-byte across thousands
-//    of operations.
+//    of operations, also when appends interleave with truncates.
 //  * DFS namespace vs a reference map of paths: random mkdir/create/write/
 //    rename/unlink sequences must leave both in the same state, checked
 //    through lookups, stats and readdirs.
@@ -10,7 +10,8 @@
 //  * TargetStore vs a flat reference map keyed by (container, object, dkey,
 //    akey): random puts, removes, extent writes/truncates and punches over
 //    enough objects to grow the object table repeatedly and delete across
-//    its wrap-around point.
+//    its wrap-around point, and over objects holding enough records to be
+//    indexed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <variant>
 #include <vector>
@@ -42,13 +44,46 @@ using vos::Payload;
 
 // --- ExtentTree vs byte map -------------------------------------------
 
+/// A byte-level reference for ExtentTree: offset -> byte.
+struct ExtentReference {
+  std::map<std::uint64_t, std::byte> bytes;
+  std::uint64_t end = 0;
+
+  void write(std::uint64_t off, const Payload& p) {
+    auto data = p.bytes();
+    for (std::uint64_t i = 0; i < data.size(); ++i) {
+      bytes[off + i] = data[static_cast<std::size_t>(i)];
+    }
+    end = std::max(end, off + data.size());
+  }
+  void truncate(std::uint64_t size) {
+    bytes.erase(bytes.lower_bound(size), bytes.end());
+    end = size;
+  }
+  /// Asserts that `tree` reads [off, off+len) as the reference does.
+  void checkRead(const ExtentTree& tree, std::uint64_t off,
+                 std::uint64_t len, int op) const {
+    auto r = tree.read(off, len);
+    ASSERT_EQ(r.data.size(), len);
+    auto got = r.data.bytes();
+    std::uint64_t found = 0;
+    for (std::uint64_t i = 0; i < len; ++i) {
+      auto it = bytes.find(off + i);
+      const std::byte expect = it == bytes.end() ? std::byte{0} : it->second;
+      ASSERT_EQ(got[static_cast<std::size_t>(i)], expect)
+          << "op " << op << " offset " << off + i;
+      if (it != bytes.end()) ++found;
+    }
+    ASSERT_EQ(r.bytes_found, found) << "op " << op;
+  }
+};
+
 class ExtentFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ExtentFuzz, MatchesByteLevelReference) {
   sim::Rng rng(GetParam());
   ExtentTree tree;
-  std::map<std::uint64_t, std::byte> reference;
-  std::uint64_t ref_end = 0;
+  ExtentReference reference;
   constexpr std::uint64_t kSpace = 4096;
 
   for (int op = 0; op < 2000; ++op) {
@@ -57,40 +92,69 @@ TEST_P(ExtentFuzz, MatchesByteLevelReference) {
       const std::uint64_t off = rng.uniform(0, kSpace);
       const std::uint64_t len = rng.uniform(1, 200);
       Payload p = vos::patternPayload(len, rng());
-      auto bytes = p.bytes();
-      for (std::uint64_t i = 0; i < len; ++i) {
-        reference[off + i] = bytes[static_cast<std::size_t>(i)];
-      }
-      ref_end = std::max(ref_end, off + len);
+      reference.write(off, p);
       tree.write(off, std::move(p));
     } else if (kind < 8) {  // read + compare
       const std::uint64_t off = rng.uniform(0, kSpace);
       const std::uint64_t len = rng.uniform(1, 300);
-      auto r = tree.read(off, len);
-      ASSERT_EQ(r.data.size(), len);
-      auto got = r.data.bytes();
-      std::uint64_t found = 0;
-      for (std::uint64_t i = 0; i < len; ++i) {
-        auto it = reference.find(off + i);
-        const std::byte expect =
-            it == reference.end() ? std::byte{0} : it->second;
-        ASSERT_EQ(got[static_cast<std::size_t>(i)], expect)
-            << "op " << op << " offset " << off + i;
-        if (it != reference.end()) ++found;
-      }
-      ASSERT_EQ(r.bytes_found, found) << "op " << op;
+      ASSERT_NO_FATAL_FAILURE(reference.checkRead(tree, off, len, op));
     } else if (kind == 8) {  // truncate
       const std::uint64_t size = rng.uniform(0, kSpace);
       tree.truncate(size);
-      reference.erase(reference.lower_bound(size), reference.end());
-      ref_end = size;
+      reference.truncate(size);
     } else {  // end() check
-      ASSERT_EQ(tree.end(), ref_end) << "op " << op;
+      ASSERT_EQ(tree.end(), reference.end) << "op " << op;
     }
   }
 
   // Final accounting: stored bytes equal live reference bytes.
-  ASSERT_EQ(tree.bytesStored(), reference.size());
+  ASSERT_EQ(tree.bytesStored(), reference.bytes.size());
+}
+
+// Writes at or past end() take the append path; truncates to just below or
+// above end() move it back into (or out past) the appended extents, so
+// appends interleave with carving writes and both kinds of truncate.
+TEST_P(ExtentFuzz, AppendsInterleavedWithTruncates) {
+  sim::Rng rng(GetParam());
+  ExtentTree tree;
+  ExtentReference reference;
+
+  for (int op = 0; op < 2000; ++op) {
+    const auto kind = rng.uniform(0, 9);
+    if (kind < 6) {
+      const std::uint64_t end = tree.end();
+      std::uint64_t off;
+      if (kind < 4) {  // append, abutting or past a hole
+        off = end + rng.uniform(0, 2) * 32;
+      } else if (kind == 4) {  // overlap the last few stored bytes
+        off = end - std::min<std::uint64_t>(end, rng.uniform(1, 4));
+      } else {  // overwrite inside the stored range
+        off = rng.uniform(0, end);
+      }
+      const std::uint64_t len = rng.uniform(1, 100);
+      Payload p = vos::patternPayload(len, rng());
+      reference.write(off, p);
+      tree.write(off, std::move(p));
+    } else if (kind == 6) {  // truncate smaller
+      const std::uint64_t size =
+          tree.end() - std::min<std::uint64_t>(tree.end(),
+                                               rng.uniform(0, 150));
+      tree.truncate(size);
+      reference.truncate(size);
+    } else if (kind == 7) {  // truncate larger
+      const std::uint64_t size = tree.end() + rng.uniform(1, 150);
+      tree.truncate(size);
+      reference.truncate(size);
+    } else {  // read around the end
+      const std::uint64_t off =
+          tree.end() - std::min<std::uint64_t>(tree.end(),
+                                               rng.uniform(0, 300));
+      ASSERT_NO_FATAL_FAILURE(
+          reference.checkRead(tree, off, rng.uniform(1, 400), op));
+    }
+    ASSERT_EQ(tree.end(), reference.end) << "op " << op;
+    ASSERT_EQ(tree.bytesStored(), reference.bytes.size()) << "op " << op;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtentFuzz,
@@ -207,10 +271,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DfsFuzz, ::testing::Values(7, 11, 19, 42));
 
 // --- TargetStore vs flat reference map --------------------------------
 
-// (seed, object ids per container): a few ids keep the table at 16-32 slots
-// so probe runs often wrap past the last slot; hundreds grow it repeatedly.
-class TargetStoreFuzz : public ::testing::TestWithParam<
-                            std::tuple<std::uint64_t, std::uint64_t>> {};
+// (seed, object ids per container, long-lived objects): a few ids keep the
+// table at 16-32 slots so probe runs often wrap past the last slot; hundreds
+// grow it repeatedly. Punching objects rarely lets a few ids grow past
+// kScanRecords records, so one object moves between the scanned and the
+// indexed record table while records are removed and dkeys punched.
+class TargetStoreFuzz
+    : public ::testing::TestWithParam<
+          std::tuple<std::uint64_t, std::uint64_t, bool>> {};
 
 TEST_P(TargetStoreFuzz, MatchesFlatReferenceMap) {
   using vos::ContId;
@@ -219,7 +287,7 @@ TEST_P(TargetStoreFuzz, MatchesFlatReferenceMap) {
   using Key = std::tuple<ContId, ObjectId, std::string, std::string>;
   using Value = std::variant<Payload, ExtentTree>;
 
-  const auto [seed, ids] = GetParam();
+  const auto [seed, ids, long_lived] = GetParam();
   sim::Rng rng(seed);
   vos::TargetStore store;
   std::map<Key, Value> ref;
@@ -249,7 +317,8 @@ TEST_P(TargetStoreFuzz, MatchesFlatReferenceMap) {
     containers.insert(ob.first);
   };
 
-  // Every record of `ob` agrees with the reference, in dkey-then-akey order.
+  // Every record of `ob` agrees with the reference; listings are in key
+  // order, forEachRecord in any.
   auto checkObject = [&](const Obj& ob, int step) {
     const auto& [c, o] = ob;
     ASSERT_EQ(store.objectExists(c, o), objects.count(ob) > 0) << step;
@@ -276,6 +345,7 @@ TEST_P(TargetStoreFuzz, MatchesFlatReferenceMap) {
       ASSERT_NE((v.value == nullptr), (v.tree == nullptr));
       got.emplace_back(*v.dkey, *v.akey);
     });
+    std::sort(got.begin(), got.end());
     ASSERT_EQ(got, expect) << step;
     ASSERT_EQ(store.listDkeys(c, o), dkeys) << step;
     for (const std::string& dkey : dkeys) {
@@ -287,20 +357,34 @@ TEST_P(TargetStoreFuzz, MatchesFlatReferenceMap) {
     }
   };
 
+  // Kinds 170 and up punch an object or destroy a container: 30 of 200
+  // kinds, or 6 of 176 for long-lived objects.
+  const std::uint64_t kinds = long_lived ? 176 : 200;
+  // Successful removes and dkey punches, by whether the object held more
+  // than kScanRecords records.
+  int scanned_erases = 0, indexed_removes = 0, indexed_punches = 0;
+  auto recordCount = [&](const Obj& ob) {
+    auto [first, last] = objRange(ob);
+    return static_cast<std::size_t>(std::distance(first, last));
+  };
+
   for (int step = 0; step < 5000; ++step) {
     const Obj ob = randomObj();
     const auto& [c, o] = ob;
     const std::string dkey = randomDkey();
     const std::string akey = randomAkey();
     const Key key{c, o, dkey, akey};
-    const auto kind = rng.uniform(0, 199);
+    const auto kind = rng.uniform(0, kinds - 1);
+    const bool indexed = recordCount(ob) > vos::TargetStore::kScanRecords;
     if (kind < 60) {
       Payload p = vos::patternPayload(rng.uniform(0, 64), rng());
       store.valuePut(c, o, dkey, akey, p);
       ref[key] = std::move(p);
       touch(ob);
     } else if (kind < 80) {
-      ASSERT_EQ(store.valueRemove(c, o, dkey, akey), ref.erase(key) > 0);
+      const bool hit = ref.erase(key) > 0;
+      ASSERT_EQ(store.valueRemove(c, o, dkey, akey), hit) << step;
+      if (hit) ++(indexed ? indexed_removes : scanned_erases);
     } else if (kind < 140) {
       const std::uint64_t off = rng.uniform(0, 4096);
       const Payload p = Payload::synthetic(rng.uniform(1, 4096), rng());
@@ -317,11 +401,19 @@ TEST_P(TargetStoreFuzz, MatchesFlatReferenceMap) {
       std::get<ExtentTree>(v).truncate(size);
       touch(ob);
     } else if (kind < 170) {
-      auto first = ref.lower_bound(Key{c, o, dkey, ""});
-      auto last = ref.upper_bound(Key{c, o, dkey, "\xff"});
-      ASSERT_EQ(store.punchDkey(c, o, dkey), first != last) << step;
-      ref.erase(first, last);
-    } else if (kind < 199) {
+      // Punch one dkey, or every dkey from it up (as an array truncate
+      // does).
+      const bool from = rng.uniform(0, 1) == 0;
+      auto punched = [&](std::string_view d) {
+        return from ? d >= dkey : d == dkey;
+      };
+      const bool hit = std::erase_if(ref, [&](const auto& r) {
+                         const auto& [kc, ko, kd, ka] = r.first;
+                         return kc == c && ko == o && punched(kd);
+                       }) > 0;
+      ASSERT_EQ(store.punchDkeys(c, o, punched), hit) << step;
+      if (hit) ++(indexed ? indexed_punches : scanned_erases);
+    } else if (kind < kinds - 1) {
       ASSERT_EQ(store.punchObject(c, o), objects.erase(ob) > 0) << step;
       auto [first, last] = objRange(ob);
       ref.erase(first, last);
@@ -353,11 +445,17 @@ TEST_P(TargetStoreFuzz, MatchesFlatReferenceMap) {
       }
     }
   }
+  EXPECT_GT(scanned_erases, 0);
+  if (long_lived && ids == 3) {
+    EXPECT_GT(indexed_removes, 0);
+    EXPECT_GT(indexed_punches, 0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(SeedsAndSizes, TargetStoreFuzz,
                          ::testing::Combine(::testing::Values(1, 2, 3),
-                                            ::testing::Values(3, 700)));
+                                            ::testing::Values(3, 700),
+                                            ::testing::Bool()));
 
 }  // namespace
 }  // namespace daosim

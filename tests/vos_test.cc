@@ -2,7 +2,11 @@
 // overlap handling, KV records, enumeration, punch, and space accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "placement/oid.h"
 #include "vos/extent_tree.h"
@@ -226,10 +230,61 @@ TEST_F(TargetStoreTest, PunchObjectReclaimsSpace) {
 TEST_F(TargetStoreTest, PunchDkey) {
   store_.valuePut(cont_, oid_, "k1", "v", Payload::fromString("aa"));
   store_.valuePut(cont_, oid_, "k2", "v", Payload::fromString("bb"));
-  EXPECT_TRUE(store_.punchDkey(cont_, oid_, "k1"));
+  auto is_k1 = [](std::string_view dkey) { return dkey == "k1"; };
+  EXPECT_TRUE(store_.punchDkeys(cont_, oid_, is_k1));
   EXPECT_EQ(store_.valueGet(cont_, oid_, "k1", "v"), nullptr);
   ASSERT_NE(store_.valueGet(cont_, oid_, "k2", "v"), nullptr);
   EXPECT_EQ(store_.bytesStored(), 2u);
+  EXPECT_FALSE(store_.punchDkeys(cont_, oid_, is_k1));
+}
+
+// Chunk dkeys 0..n-1 with akeys "0" and "p"; punching every chunk from 5 up
+// in one call leaves exactly chunks 0..4, each findable.
+TEST_F(TargetStoreTest, PunchDkeysByPredicateInOnePass) {
+  constexpr std::uint64_t kChunks = 4 * TargetStore::kScanRecords;
+  for (std::uint64_t i = 0; i < kChunks; ++i) {
+    store_.extentWrite(cont_, oid_, u64Dkey(i), "0", 0, patternPayload(10, i));
+    store_.valuePut(cont_, oid_, u64Dkey(i), "p", Payload::fromString("x"));
+  }
+  EXPECT_TRUE(store_.punchDkeys(cont_, oid_, [](std::string_view dkey) {
+    return dkeyU64(dkey) >= 5;
+  }));
+  std::vector<std::string> expect;
+  for (std::uint64_t i = 0; i < 5; ++i) expect.push_back(u64Dkey(i));
+  EXPECT_EQ(store_.listDkeys(cont_, oid_), expect);
+  EXPECT_EQ(store_.bytesStored(), 5 * 11u);
+  for (std::uint64_t i = 0; i < kChunks; ++i) {
+    EXPECT_EQ(store_.extentEnd(cont_, oid_, u64Dkey(i), "0"),
+              i < 5 ? 10u : 0u);
+    EXPECT_EQ(store_.valueGet(cont_, oid_, u64Dkey(i), "p") != nullptr, i < 5);
+  }
+}
+
+// Each remove moves the last record into the hole; every survivor must stay
+// findable, through the scan and through the index.
+TEST_F(TargetStoreTest, RemovingRecordsOneByOneKeepsTheRestFindable) {
+  constexpr std::size_t kKeys = 4 * TargetStore::kScanRecords;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    store_.valuePut(cont_, oid_, "d" + std::to_string(i % 7),
+                    std::to_string(i), Payload::fromString(std::to_string(i)));
+  }
+  std::vector<bool> live(kKeys, true);
+  for (std::size_t n = 0; n < kKeys; ++n) {
+    const std::size_t gone = (n * 13) % kKeys;  // 13 is coprime to kKeys
+    EXPECT_TRUE(store_.valueRemove(
+        cont_, oid_, "d" + std::to_string(gone % 7), std::to_string(gone)));
+    live[gone] = false;
+    for (std::size_t i = 0; i < kKeys; ++i) {
+      const Payload* p = store_.valueGet(
+          cont_, oid_, "d" + std::to_string(i % 7), std::to_string(i));
+      ASSERT_EQ(p != nullptr, live[i]) << n << " " << i;
+      if (p != nullptr) {
+        EXPECT_EQ(p->toString(), std::to_string(i));
+      }
+    }
+  }
+  EXPECT_TRUE(store_.listDkeys(cont_, oid_).empty());
+  EXPECT_EQ(store_.bytesStored(), 0u);
 }
 
 TEST_F(TargetStoreTest, DestroyContainer) {
@@ -302,6 +357,64 @@ TEST_F(TargetStoreTest, ValueRemoveKeepsEmptiedObject) {
   EXPECT_TRUE(store_.listDkeys(cont_, oid_).empty());
   EXPECT_EQ(store_.objectCount(), 1u);
   EXPECT_EQ(store_.containerCount(), 1u);
+}
+
+// Concatenating dkey and akey would make these four one key.
+TEST_F(TargetStoreTest, KeysSplitAtTheDkeyAkeyBoundaryStayDistinct) {
+  const std::vector<std::pair<std::string, std::string>> keys = {
+      {"ab", ""}, {"a", "b"}, {"", "ab"}, {"a", ""}};
+  auto check = [&] {
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      const Payload* p =
+          store_.valueGet(cont_, oid_, keys[i].first, keys[i].second);
+      ASSERT_NE(p, nullptr) << i;
+      EXPECT_EQ(p->toString(), std::to_string(i));
+    }
+    EXPECT_EQ(store_.listAkeys(cont_, oid_, "a"),
+              (std::vector<std::string>{"", "b"}));
+    EXPECT_EQ(store_.listAkeys(cont_, oid_, "ab"),
+              (std::vector<std::string>{""}));
+  };
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    store_.valuePut(cont_, oid_, keys[i].first, keys[i].second,
+                    Payload::fromString(std::to_string(i)));
+  }
+  check();  // scanned
+  for (std::size_t i = 0; i <= TargetStore::kScanRecords; ++i) {
+    store_.valuePut(cont_, oid_, "z" + std::to_string(i), "v",
+                    Payload::fromString("-"));
+  }
+  check();  // indexed
+  EXPECT_TRUE(store_.valueRemove(cont_, oid_, "a", "b"));
+  EXPECT_EQ(store_.valueGet(cont_, oid_, "a", "b"), nullptr);
+  ASSERT_NE(store_.valueGet(cont_, oid_, "ab", ""), nullptr);
+  EXPECT_EQ(store_.valueGet(cont_, oid_, "ab", "")->toString(), "0");
+}
+
+TEST_F(TargetStoreTest, ReverseInsertsEnumerateSorted) {
+  constexpr std::size_t kDkeys = 3 * TargetStore::kScanRecords;
+  std::vector<std::string> dkeys;
+  for (std::size_t i = 0; i < kDkeys; ++i) dkeys.push_back(u64Dkey(i));
+  for (std::size_t i = kDkeys; i-- > 0;) {
+    for (const char* akey : {"c", "b", "a"}) {
+      store_.extentWrite(cont_, oid_, dkeys[i], akey, 0,
+                         Payload::fromString(akey));
+    }
+  }
+  EXPECT_EQ(store_.listDkeys(cont_, oid_), dkeys);
+  EXPECT_EQ(store_.listAkeys(cont_, oid_, dkeys[5]),
+            (std::vector<std::string>{"a", "b", "c"}));
+  std::vector<std::pair<std::string, std::string>> got, expect;
+  for (const std::string& dkey : dkeys) {
+    for (const char* akey : {"a", "b", "c"}) expect.emplace_back(dkey, akey);
+  }
+  // forEachRecord promises no order, only every record once.
+  store_.forEachRecord(cont_, oid_, [&](const TargetStore::RecordView& v) {
+    ASSERT_NE(v.tree, nullptr);
+    got.emplace_back(*v.dkey, *v.akey);
+  });
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expect);
 }
 
 }  // namespace

@@ -2,17 +2,24 @@
 //
 // Arms ITIMER_PROF (process CPU time) at load; each SIGPROF records the
 // interrupted PC and the backtrace() callers into a fixed static buffer.
-// At exit the samples and /proc/self/maps are written to $HOSTPROF_OUT
-// (default hostprof.out) for hostprof.py to symbolize:
+// At exit the samples, the identity of each mapped executable file and
+// /proc/self/maps are written to $HOSTPROF_OUT (default hostprof.out) for
+// hostprof.py to symbolize:
 //
-//   hostprof 1
+//   hostprof 2
 //   interval_us <n>
 //   samples <kept> dropped <n>
 //   S <pc> <caller> <caller> ...      (hex, innermost first)
+//   F <st_dev> <st_ino> <st_size> <st_mtime ns> <path>
 //   maps
 //   <verbatim /proc/self/maps>
+//
+// The F lines come from stat(), as hostprof.py's check does, not from the
+// device and inode in /proc/self/maps: on overlayfs those name the
+// underlying file, which stat() on the path does not report.
 #include <execinfo.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <sys/time.h>
 #include <ucontext.h>
 #include <unistd.h>
@@ -23,6 +30,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <string>
+#include <vector>
 
 namespace {
 
@@ -106,6 +116,36 @@ __attribute__((constructor)) void hostprofStart() {
   setTimer(kIntervalUs);
 }
 
+/// One F line per executable file mapping of this process.
+void writeFileIdentities(std::FILE* out) {
+  std::FILE* maps = std::fopen("/proc/self/maps", "r");
+  if (maps == nullptr) return;
+  std::vector<std::string> seen;
+  char line[8192];
+  while (std::fgets(line, sizeof line, maps) != nullptr) {
+    char perms[8] = "";
+    int path_at = 0;
+    if (std::sscanf(line, "%*s %7s %*s %*s %*s %n", perms, &path_at) < 1 ||
+        std::strlen(perms) < 3 || perms[2] != 'x' || line[path_at] != '/') {
+      continue;
+    }
+    std::string path(line + path_at);
+    if (!path.empty() && path.back() == '\n') path.pop_back();
+    if (std::find(seen.begin(), seen.end(), path) != seen.end()) continue;
+    seen.push_back(path);
+    struct stat st {};
+    if (stat(path.c_str(), &st) != 0) continue;
+    std::fprintf(out, "F %llu %llu %lld %lld %s\n",
+                 static_cast<unsigned long long>(st.st_dev),
+                 static_cast<unsigned long long>(st.st_ino),
+                 static_cast<long long>(st.st_size),
+                 static_cast<long long>(st.st_mtim.tv_sec) * 1000000000LL +
+                     st.st_mtim.tv_nsec,
+                 path.c_str());
+  }
+  std::fclose(maps);
+}
+
 __attribute__((destructor)) void hostprofStop() {
   if (getpid() != g_owner) return;
   setTimer(0);
@@ -117,7 +157,7 @@ __attribute__((destructor)) void hostprofStop() {
   }
   const std::uint32_t kept =
       std::min(g_next.load(std::memory_order_relaxed), kMaxSamples);
-  std::fprintf(out, "hostprof 1\ninterval_us %d\nsamples %u dropped %llu\n",
+  std::fprintf(out, "hostprof 2\ninterval_us %d\nsamples %u dropped %llu\n",
                kIntervalUs, kept,
                static_cast<unsigned long long>(g_dropped.load()));
   for (std::uint32_t i = 0; i < kept; ++i) {
@@ -128,6 +168,7 @@ __attribute__((destructor)) void hostprofStop() {
     }
     std::fputc('\n', out);
   }
+  writeFileIdentities(out);
   std::fputs("maps\n", out);
   if (std::FILE* maps = std::fopen("/proc/self/maps", "r")) {
     char buf[4096];

@@ -11,6 +11,9 @@ reports. The report lists functions by self share (samples whose
 interrupted PC lies in the function) and by inclusive share (samples with
 the function anywhere on the stack, counted once per sample). Symbols come
 from `nm -C` on each mapped file, so build with symbols (RelWithDebInfo).
+A mapped file that changed after profiling (its device, inode, size or
+mtime no longer match what the profiled process's stat() saw at exit, as
+after a rebuild) is an error: its symbols would name the wrong functions.
 
 --by-caller charges samples whose leaf lies in a library without a full
 symbol table (libc's `[libc.so.6]`, `malloc`, `free`, ...) to their first
@@ -32,10 +35,10 @@ import sys
 
 
 def parse_profile(path):
-    samples, maps, dropped = [], [], 0
+    samples, maps, dropped, idents = [], [], 0, {}
     with open(path) as f:
-        if f.readline().split() != ["hostprof", "1"]:
-            sys.exit(f"hostprof: {path}: not a hostprof profile")
+        if f.readline().split() != ["hostprof", "2"]:
+            sys.exit(f"hostprof: {path}: not a hostprof profile (version 2)")
         in_maps = False
         for line in f:
             if in_maps:
@@ -44,11 +47,14 @@ def parse_profile(path):
                 frames = [int(x, 16) for x in line.split()[1:]]
                 if frames:
                     samples.append(frames)
+            elif line.startswith("F "):
+                parts = line.split(maxsplit=5)
+                idents[parts[5].rstrip("\n")] = tuple(map(int, parts[1:5]))
             elif line.startswith("samples"):
                 dropped = int(line.split()[3])
             elif line.strip() == "maps":
                 in_maps = True
-    return samples, parse_maps(maps), dropped
+    return samples, parse_maps(maps), dropped, idents
 
 
 def parse_maps(lines):
@@ -63,6 +69,21 @@ def parse_maps(lines):
         out.append((start, end, int(parts[2], 16), parts[5].strip()))
     out.sort()
     return out
+
+
+def check_identity(path, ident):
+    """Exits if `path` is no longer the file the profile mapped: `ident` is
+    its (device, inode, size, mtime ns) from stat() at profiling time, None
+    if it had none. A file that is gone is left to symbolize as unknown."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return
+    now = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+    if now != ident:
+        sys.exit(f"hostprof: {path} was replaced after profiling "
+                 f"(device, inode, size, mtime then {ident}, now {now}); "
+                 f"its symbols would be wrong, so profile again")
 
 
 def load_segments(path):
@@ -146,14 +167,16 @@ Frame = collections.namedtuple("Frame", "name path vaddr sym_addr full")
 
 
 class Symbolizer:
-    def __init__(self, maps):
+    def __init__(self, maps, idents):
         self.maps = maps
+        self.idents = idents
         self.starts = [m[0] for m in maps]
         self.files = {}
         self.cache = {}
 
     def _file(self, path):
         if path not in self.files:
+            check_identity(path, self.idents.get(path))
             try:
                 segs = load_segments(path)
             except OSError:
@@ -230,10 +253,10 @@ def parse_group(spec):
 
 
 def report(path, top, by_caller=False, func=None, groups=(), out=sys.stdout):
-    samples, maps, dropped = parse_profile(path)
+    samples, maps, dropped, idents = parse_profile(path)
     if not samples:
         sys.exit(f"hostprof: {path}: no samples")
-    sym = Symbolizer(maps)
+    sym = Symbolizer(maps, idents)
     self_n, incl_n = collections.Counter(), collections.Counter()
     # Self-by-caller counts over all samples and outside calibration.
     caller_n, caller_noncal_n = collections.Counter(), collections.Counter()
