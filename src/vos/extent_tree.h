@@ -1,13 +1,16 @@
 // Byte-granular extent index for array values (the VOS "evtree" analogue).
 //
-// Stores non-overlapping extents keyed by start offset. Writes split and
-// trim older extents they overlap (last-writer-wins, as in VOS where newer
-// epochs shadow older ones). Reads assemble bytes across extents; gaps read
-// as zeros, matching DAOS array hole semantics.
+// A sorted extent vector: non-overlapping, non-empty extents ordered by
+// start offset (so by end offset too). An append (a write at or past end())
+// is a push_back; any other write finds the extents it overlaps with one
+// binary search and replaces them with at most three (the head remnant, the
+// new extent, the tail remnant) in one splice: last-writer-wins, as in VOS
+// where newer epochs shadow older ones. Reads assemble bytes across
+// extents; gaps read as zeros, matching DAOS array hole semantics.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <vector>
 
 #include "vos/payload.h"
 
@@ -15,6 +18,11 @@ namespace daosim::vos {
 
 class ExtentTree {
  public:
+  struct Extent {
+    std::uint64_t offset = 0;
+    Payload data;
+  };
+
   struct ReadResult {
     Payload data;                ///< assembled payload of the requested length
     std::uint64_t bytes_found = 0;  ///< bytes actually backed by extents
@@ -35,18 +43,13 @@ class ExtentTree {
   void truncate(std::uint64_t size);
 
   std::uint64_t extentCount() const noexcept { return extents_.size(); }
-  /// Raw extent map (offset -> payload), for migration/rebuild.
-  const std::map<std::uint64_t, Payload>& extents() const noexcept {
-    return extents_;
-  }
+  /// The extents in offset order, for migration/rebuild.
+  const std::vector<Extent>& extents() const noexcept { return extents_; }
   std::uint64_t bytesStored() const noexcept { return stored_; }
   bool empty() const noexcept { return extents_.empty(); }
 
  private:
-  // Removes/trims extents overlapping [off, off+len); keeps accounting.
-  void carve(std::uint64_t off, std::uint64_t len);
-
-  std::map<std::uint64_t, Payload> extents_;
+  std::vector<Extent> extents_;
   std::uint64_t end_ = 0;
   std::uint64_t stored_ = 0;
 };

@@ -1,8 +1,10 @@
 // Randomized property tests against reference models.
 //
-//  * ExtentTree vs a byte-level reference (std::map<offset, byte>): random
-//    writes, truncates and reads must agree byte-for-byte across thousands
-//    of operations, also when appends interleave with truncates.
+//  * ExtentTree vs a byte-level reference (one optional byte per offset):
+//    random writes, truncates and reads must agree byte-for-byte across
+//    thousands of operations, also when appends interleave with truncates
+//    and when overwrites and truncates land inside hundreds of appended
+//    extents; the extents stay sorted, disjoint and non-empty throughout.
 //  * DFS namespace vs a reference map of paths: random mkdir/create/write/
 //    rename/unlink sequences must leave both in the same state, checked
 //    through lookups, stats and readdirs.
@@ -44,21 +46,28 @@ using vos::Payload;
 
 // --- ExtentTree vs byte map -------------------------------------------
 
-/// A byte-level reference for ExtentTree: offset -> byte.
+/// A byte-level reference for ExtentTree: one slot per offset, empty for a
+/// hole.
 struct ExtentReference {
-  std::map<std::uint64_t, std::byte> bytes;
+  std::vector<std::optional<std::byte>> bytes;
   std::uint64_t end = 0;
 
   void write(std::uint64_t off, const Payload& p) {
     auto data = p.bytes();
+    if (bytes.size() < off + data.size()) bytes.resize(off + data.size());
     for (std::uint64_t i = 0; i < data.size(); ++i) {
       bytes[off + i] = data[static_cast<std::size_t>(i)];
     }
     end = std::max(end, off + data.size());
   }
   void truncate(std::uint64_t size) {
-    bytes.erase(bytes.lower_bound(size), bytes.end());
+    if (bytes.size() > size) bytes.resize(size);
     end = size;
+  }
+  /// Bytes that are not holes.
+  std::uint64_t stored() const {
+    return std::count_if(bytes.begin(), bytes.end(),
+                         [](const auto& b) { return b.has_value(); });
   }
   /// Asserts that `tree` reads [off, off+len) as the reference does.
   void checkRead(const ExtentTree& tree, std::uint64_t off,
@@ -68,15 +77,36 @@ struct ExtentReference {
     auto got = r.data.bytes();
     std::uint64_t found = 0;
     for (std::uint64_t i = 0; i < len; ++i) {
-      auto it = bytes.find(off + i);
-      const std::byte expect = it == bytes.end() ? std::byte{0} : it->second;
-      ASSERT_EQ(got[static_cast<std::size_t>(i)], expect)
+      const std::optional<std::byte> b =
+          off + i < bytes.size() ? bytes[off + i] : std::nullopt;
+      ASSERT_EQ(got[static_cast<std::size_t>(i)], b.value_or(std::byte{0}))
           << "op " << op << " offset " << off + i;
-      if (it != bytes.end()) ++found;
+      if (b) ++found;
     }
     ASSERT_EQ(r.bytes_found, found) << "op " << op;
   }
 };
+
+/// Asserts ExtentTree's structural invariants: extents strictly sorted by
+/// offset, non-empty and disjoint, the last ending at or before end(), and
+/// their sizes summing to bytesStored().
+void checkStructure(const ExtentTree& tree, int op) {
+  std::uint64_t sum = 0;
+  const ExtentTree::Extent* prev = nullptr;
+  for (const auto& e : tree.extents()) {
+    ASSERT_GT(e.data.size(), 0u) << "op " << op << " extent at " << e.offset;
+    if (prev != nullptr) {
+      ASSERT_LT(prev->offset, e.offset) << "op " << op;
+      ASSERT_LE(prev->offset + prev->data.size(), e.offset) << "op " << op;
+    }
+    sum += e.data.size();
+    prev = &e;
+  }
+  if (prev != nullptr) {
+    ASSERT_LE(prev->offset + prev->data.size(), tree.end()) << "op " << op;
+  }
+  ASSERT_EQ(sum, tree.bytesStored()) << "op " << op;
+}
 
 class ExtentFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -105,10 +135,11 @@ TEST_P(ExtentFuzz, MatchesByteLevelReference) {
     } else {  // end() check
       ASSERT_EQ(tree.end(), reference.end) << "op " << op;
     }
+    ASSERT_NO_FATAL_FAILURE(checkStructure(tree, op));
   }
 
   // Final accounting: stored bytes equal live reference bytes.
-  ASSERT_EQ(tree.bytesStored(), reference.bytes.size());
+  ASSERT_EQ(tree.bytesStored(), reference.stored());
 }
 
 // Writes at or past end() take the append path; truncates to just below or
@@ -153,8 +184,57 @@ TEST_P(ExtentFuzz, AppendsInterleavedWithTruncates) {
           reference.checkRead(tree, off, rng.uniform(1, 400), op));
     }
     ASSERT_EQ(tree.end(), reference.end) << "op " << op;
-    ASSERT_EQ(tree.bytesStored(), reference.bytes.size()) << "op " << op;
+    ASSERT_EQ(tree.bytesStored(), reference.stored()) << "op " << op;
+    ASSERT_NO_FATAL_FAILURE(checkStructure(tree, op));
   }
+}
+
+// The shape of IOR through dfuse at 4 KiB: hundreds of appends into one
+// tree, then overwrites spanning several extents in the middle, then
+// truncates into a middle extent and appends after them.
+TEST_P(ExtentFuzz, ManyAppendsThenMiddleOverwritesAndTruncates) {
+  sim::Rng rng(GetParam());
+  ExtentTree tree;
+  ExtentReference reference;
+  constexpr std::uint64_t kBlock = 4096;
+  constexpr std::uint64_t kAppends = 600;
+  int op = 0;
+  const auto write = [&](std::uint64_t off, std::uint64_t len) {
+    Payload p = vos::patternPayload(len, rng());
+    reference.write(off, p);
+    tree.write(off, std::move(p));
+    ++op;
+    ASSERT_NO_FATAL_FAILURE(checkStructure(tree, op));
+  };
+
+  for (std::uint64_t i = 0; i < kAppends; ++i) {
+    ASSERT_NO_FATAL_FAILURE(write(i * kBlock, kBlock));
+  }
+  ASSERT_EQ(tree.extentCount(), kAppends);
+
+  for (int i = 0; i < 40; ++i) {  // each spans 2-8 extents, unaligned
+    const std::uint64_t off = rng.uniform(kBlock, (kAppends - 10) * kBlock);
+    ASSERT_NO_FATAL_FAILURE(write(off, rng.uniform(kBlock + 1, 7 * kBlock)));
+    ASSERT_NO_FATAL_FAILURE(reference.checkRead(
+        tree, off - std::min<std::uint64_t>(off, kBlock), 10 * kBlock, op));
+  }
+
+  for (int i = 0; i < 6; ++i) {  // truncate into a middle extent
+    const std::uint64_t size = tree.end() / 2 + rng.uniform(1, kBlock - 1);
+    tree.truncate(size);
+    reference.truncate(size);
+    ++op;
+    ASSERT_NO_FATAL_FAILURE(checkStructure(tree, op));
+    ASSERT_NO_FATAL_FAILURE(
+        reference.checkRead(tree, size - std::min(size, kBlock), 2 * kBlock, op));
+    for (int j = 0; j < 20; ++j) {
+      ASSERT_NO_FATAL_FAILURE(write(tree.end(), kBlock));
+    }
+  }
+
+  ASSERT_EQ(tree.end(), reference.end);
+  ASSERT_EQ(tree.bytesStored(), reference.stored());
+  ASSERT_NO_FATAL_FAILURE(reference.checkRead(tree, 0, tree.end(), op));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExtentFuzz,

@@ -105,6 +105,9 @@ struct Options {
       "flight per process (1 = sequential issue, the paper's setup).\n"
       "--write-only / --read-only run just that IOR phase (reads hit the\n"
       "timing model whether or not data was written first).\n"
+      "--oclass is IOR's object class; fdb applies it to its arrays and\n"
+      "fieldio to its arrays and index KVs. The default SX leaves both at\n"
+      "their own defaults.\n"
       "Parallelism: --jobs (or DAOSIM_JOBS) runs repetitions (sweep\n"
       "cells) concurrently on a worker pool; results are identical to\n"
       "--jobs 1 for a fixed --seed because every repetition is a\n"
@@ -310,6 +313,19 @@ apps::FdbConfig fdbConfig(const Options& o) {
   return cfg;
 }
 
+apps::FieldIoConfig fieldioConfig(const Options& o) {
+  apps::FieldIoConfig cfg;
+  cfg.field_size = o.transfer;
+  cfg.fields = opCount(o);
+  // The default SX keeps S1 arrays and SX index KVs.
+  const placement::ObjClass oclass = placement::classFromName(o.oclass);
+  if (oclass != placement::ObjClass::SX) {
+    cfg.array_oclass = oclass;
+    cfg.kv_oclass = oclass;
+  }
+  return cfg;
+}
+
 /// Runs the selected benchmark against the named backend on a deployed
 /// testbed; shared across the three systems now that the benchmarks are
 /// backend-neutral.
@@ -337,10 +353,7 @@ apps::RunResult runBench(const Options& o, Testbed& tb, bool stats,
     apps::Ior bench(tb.ioEnv(), o.api, iorConfig(o));
     r = run(bench);
   } else if (o.bench == "fieldio") {
-    apps::FieldIoConfig cfg;
-    cfg.field_size = o.transfer;
-    cfg.fields = opCount(o);
-    apps::FieldIo bench(tb.ioEnv(), o.api, cfg);
+    apps::FieldIo bench(tb.ioEnv(), o.api, fieldioConfig(o));
     r = run(bench);
   } else if (o.bench == "fdb") {
     apps::Fdb bench(tb.ioEnv(), o.api, fdbConfig(o));

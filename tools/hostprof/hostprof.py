@@ -4,7 +4,7 @@
     hostprof.py run --lib build/tools/hostprof/libhostprof.so \\
         --out prof.txt [--top N] -- ./build/tools/daosim_run --bench ior ...
     hostprof.py report prof.txt [--top N] [--by-caller] [--annotate FUNC]
-        [--group NAME=REGEX ...]
+        [--group NAME=REGEX ...] [--layers FILE]
 
 `run` profiles one command (its children are not profiled) and then
 reports. The report lists functions by self share (samples whose
@@ -21,7 +21,9 @@ caller that has one. --annotate FUNC lists the hottest instruction
 addresses inside FUNC as the link-time addresses `objdump -d` prints.
 --group NAME=REGEX (repeatable) sums the self-by-caller share of every
 function whose name matches REGEX, as a share of all samples and of the
-samples outside perfbench's host-speed calibration loop.
+samples outside perfbench's host-speed calibration loop. --layers FILE
+adds one group per NAME=REGEX line of FILE (tools/hostprof/layers.txt maps
+the simulator's layers).
 """
 
 import argparse
@@ -252,6 +254,16 @@ def parse_group(spec):
         raise argparse.ArgumentTypeError(f"bad regex {regex!r}: {e}")
 
 
+def parse_layers(path):
+    """Groups from a file of NAME=REGEX lines ('#' comments, blanks)."""
+    try:
+        with open(path) as f:
+            lines = [ln.strip() for ln in f]
+    except OSError as e:
+        raise argparse.ArgumentTypeError(str(e))
+    return [parse_group(ln) for ln in lines if ln and not ln.startswith("#")]
+
+
 def report(path, top, by_caller=False, func=None, groups=(), out=sys.stdout):
     samples, maps, dropped, idents = parse_profile(path)
     if not samples:
@@ -305,6 +317,9 @@ def main():
                       type=parse_group, default=[],
                       help="sum the self-by-caller share of functions "
                            "matching REGEX (repeatable)")
+    opts.add_argument("--layers", metavar="FILE", type=parse_layers,
+                      default=[],
+                      help="add a group per NAME=REGEX line of FILE")
     rp = sub.add_parser("report", parents=[opts],
                         help="report a profile file")
     rp.add_argument("profile")
@@ -326,10 +341,11 @@ def main():
                    HOSTPROF_OUT=os.path.abspath(args.out), ASAN_OPTIONS=asan)
         if subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode:
             sys.exit(f"hostprof: command failed: {' '.join(cmd)}")
-        report(args.out, args.top, args.by_caller, args.annotate, args.group)
+        report(args.out, args.top, args.by_caller, args.annotate,
+               args.group + args.layers)
     else:
         report(args.profile, args.top, args.by_caller, args.annotate,
-               args.group)
+               args.group + args.layers)
 
 
 if __name__ == "__main__":
